@@ -4,7 +4,7 @@
 //
 // `--json` emits the google-benchmark JSON report (per-algorithm
 // wall-clock in `real_time`) so successive runs give a perf trajectory:
-//   $ ./perf_engines --json > PERF_engines.json
+//   $ ./perf_engines --json > BENCH_engines.json
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -151,9 +151,9 @@ void BM_Gscale(benchmark::State& state) {
 }
 BENCHMARK(BM_Gscale)->DenseRange(0, 3);
 
-/// The direct equivalent of one legacy flow cell: engine call plus the
-/// power/delay measurements every cell always paid (the baseline row
-/// for BM_PipelineOverhead; BM_Cvs measures the bare engine).
+/// The direct equivalent of one flow cell: engine call plus the
+/// power/delay measurements every cell pays (the baseline row for
+/// BM_PipelineOverhead; BM_Cvs measures the bare engine).
 void BM_FlowCellDirect(benchmark::State& state) {
   const dvs::Network& net = circuit(kByIndex[state.range(0)]);
   for (auto _ : state) {

@@ -1,8 +1,8 @@
 // Sweep E6: the paper caps Gscale's area increase at 10%.  This sweep
 // shows the saving-vs-area curve that makes 10% a sensible knee.
 //
-// Thin driver over the sweep-matrix engine (core/sweep_matrix.hpp) —
-// the same grid the dvsd `sweep` verb runs with an `area_budgets` axis.
+// Thin driver over the sweep grid (core/sweep_matrix.hpp) — the same
+// grid the dvsd `sweep` verb runs with an `area_budgets` axis.
 // `--json` emits one NDJSON object per circuit.
 #include <cstdio>
 #include <cstring>
@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     const dvs::McncDescriptor* d = dvs::find_mcnc(name);
 
     dvs::SweepMatrixSpec spec;
-    spec.area_budgets = {0.0, 0.02, 0.05, 0.10, 0.20, 0.40};
-    spec.run_cvs = false;
-    spec.run_dscale = false;  // E6 is the Gscale budget axis alone
+    // E6 is the Gscale budget axis alone.
+    for (double budget : {0.0, 0.02, 0.05, 0.10, 0.20, 0.40})
+      spec.specs.emplace_back(dvs::gscale_budget_spec(budget));
     // The daemon's circuit-seed derivation for named circuits:
     // mix(root seed, descriptor seed), root 0x5eed.
     spec.circuit_seed = dvs::mix_seed(0x5eed, d->seed);

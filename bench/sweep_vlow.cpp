@@ -3,7 +3,7 @@
 // Vlow saves more per gate (V^2) but costs more delay per gate
 // (alpha-power law), shrinking the set of gates that fit their slack.
 //
-// Thin driver over the sweep-matrix engine (core/sweep_matrix.hpp) —
+// Thin driver over the sweep grid (core/sweep_matrix.hpp) —
 // the same grid the dvsd `sweep` verb runs, so a row here matches the
 // matching daemon cell bit-for-bit.  `--json` emits one NDJSON object
 // per circuit: {"circuit":..., "cells":[...], "pareto":[...]}.
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     dvs::SweepMatrixSpec spec;
     for (double vlow : {4.7, 4.5, 4.3, 4.0, 3.7, 3.3})
       spec.ladders.push_back({5.0, vlow});
-    spec.run_dscale = false;  // E5 contrasts CVS against Gscale
+    spec.specs = {"cvs", "gscale"};  // E5 contrasts CVS against Gscale
     // The daemon's circuit-seed derivation for named circuits:
     // mix(root seed, descriptor seed), root 0x5eed.
     spec.circuit_seed = dvs::mix_seed(0x5eed, d->seed);

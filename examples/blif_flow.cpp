@@ -10,7 +10,8 @@
 #include <fstream>
 
 #include "core/boundary.hpp"
-#include "core/flow.hpp"
+#include "core/gscale.hpp"
+#include "core/job.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/stats.hpp"
 #include "synth/mapper.hpp"
@@ -62,7 +63,9 @@ int main(int argc, char** argv) {
 
   // Dual-Vdd flow (CVS baseline + Dscale + Gscale, each from scratch).
   const dvs::CircuitRunResult row =
-      dvs::run_paper_flow(setup.mapped, lib, {});
+      dvs::run_pipeline_job(setup.mapped, lib, {}, /*circuit_seed=*/1,
+                            dvs::paper_specs())
+          .row;
   std::printf("original power %.2f uW | CVS -%.2f%% | Dscale -%.2f%% | "
               "Gscale -%.2f%%\n",
               row.org_power_uw, row.cvs_improve_pct,

@@ -4,7 +4,7 @@
 // (3.3V, 2.7V).  Demonstrates every Library construction API.
 #include <cstdio>
 
-#include "core/flow.hpp"
+#include "core/job.hpp"
 #include "netlist/blif.hpp"
 #include "synth/mapper.hpp"
 
@@ -131,7 +131,9 @@ int main() {
               setup.mapped.num_gates(), setup.tspec);
 
   const dvs::CircuitRunResult row =
-      dvs::run_paper_flow(setup.mapped, lib, {});
+      dvs::run_pipeline_job(setup.mapped, lib, {}, /*circuit_seed=*/1,
+                            dvs::paper_specs())
+          .row;
   std::printf("power %.3f uW | CVS -%.2f%% | Dscale -%.2f%% | Gscale "
               "-%.2f%% (resized %d)\n",
               row.org_power_uw, row.cvs_improve_pct,

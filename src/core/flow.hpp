@@ -1,23 +1,20 @@
-// End-to-end experiment driver reproducing the paper's §4 setup: given a
-// mapped circuit, fix the timing constraint at the mapped delay (the paper
-// maps at minimum delay, relaxes 20%, re-maps with area recovery, and then
+// End-to-end experiment setup reproducing the paper's §4: given a mapped
+// circuit, fix the timing constraint at the mapped delay (the paper maps
+// at minimum delay, relaxes 20%, re-maps with area recovery, and then
 // constrains at the resulting delay), measure the original power with
-// random simulation, and run CVS / Dscale / Gscale each from a fresh copy.
+// random simulation, and start every optimization from a fresh copy.
+// The cells themselves run through the cell engine (core/job.hpp).
 #pragma once
 
 #include <string>
 
-#include "core/cvs.hpp"
 #include "core/design.hpp"
-#include "core/dscale.hpp"
-#include "core/gscale.hpp"
 
 namespace dvs {
 
+/// The knobs every cell of a circuit shares.  Pass knobs belong to the
+/// pipeline spec (core/job.hpp), never to these options.
 struct FlowOptions {
-  CvsOptions cvs;
-  DscaleOptions dscale;
-  GscaleOptions gscale;
   ActivityOptions activity;
   double freq_mhz = 20.0;
   /// Extra slack handed to the algorithms on top of the mapped delay
@@ -55,17 +52,13 @@ struct CircuitRunResult {
   }
 };
 
-/// The three optimization algorithms of the paper, as enumerable steps so
-/// drivers (and the parallel suite engine) can run any matrix cell alone.
-enum class PaperAlgo { kCvs, kDscale, kGscale };
-
 /// Fills the shared columns of a row: name, gate count, the timing
 /// constraint frozen at the mapped delay, and the original (all-high)
 /// power.  Every pipeline cell of the matrix starts from this state.
 /// Switching activity is a function of the logic alone, so the estimate
 /// the original-power measurement already paid for can be handed out via
-/// `activity_out` and adopted by every per-cell Design of the same job
-/// (Design::adopt_activity) instead of being recomputed per cell.
+/// `activity_out` and adopted by every per-cell Design of the same
+/// circuit (Design::adopt_activity) instead of being recomputed per cell.
 void init_flow_row(const Network& mapped, const Library& lib,
                    const FlowOptions& options, CircuitRunResult* row,
                    Activity* activity_out = nullptr);
@@ -78,10 +71,5 @@ Design make_flow_design(const Network& mapped, const Library& lib,
 
 /// 100 * (original - optimized) / original, 0 when original is 0.
 double improvement_pct(double original, double optimized);
-
-/// Runs the full paper flow on one mapped circuit (all three algorithms;
-/// implemented on run_single_job, see core/job.hpp).
-CircuitRunResult run_paper_flow(const Network& mapped, const Library& lib,
-                                const FlowOptions& options = {});
 
 }  // namespace dvs

@@ -1,18 +1,67 @@
 #include "core/job.hpp"
 
+#include <mutex>
 #include <utility>
 
-#include "opt/passes.hpp"
 #include "support/contracts.hpp"
-#include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace dvs {
 
 namespace {
 
-/// Copies a paper cell's single-pass stats into its legacy row columns.
-/// The values are read back exactly as the hard-wired flow computed
-/// them, so pipeline-backed rows are bit-identical to the seed rows.
+/// The one per-cell body: a fresh flow Design from the circuit's shared
+/// init, then the resolved pipeline.
+JobCellResult run_cell(const Network& mapped, const Library& lib,
+                       const FlowOptions& flow, const JobInit& init,
+                       std::uint64_t circuit_seed, const Json& spec,
+                       bool capture_design) {
+  Pipeline pipeline = resolve_cell(spec, circuit_seed);
+  Design design = make_flow_design(mapped, lib, flow, init.row.tspec_ns);
+  design.adopt_activity(init.activity);
+  JobCellResult cell;
+  cell.label = pipeline_label(pipeline);
+  cell.spec = pipeline.canonical_spec();
+  cell.run = pipeline.run(design);
+  cell.improve_pct = improvement_pct(init.row.org_power_uw,
+                                     cell.run.passes.back().power_uw);
+  if (capture_design) cell.design.emplace(std::move(design));
+  return cell;
+}
+
+}  // namespace
+
+const std::vector<Json>& paper_specs() {
+  static const std::vector<Json> kSpecs = {Json("cvs"), Json("dscale"),
+                                           Json("gscale")};
+  return kSpecs;
+}
+
+FlowOptions circuit_flow(const FlowOptions& flow,
+                         std::uint64_t circuit_seed) {
+  FlowOptions out = flow;
+  out.activity.seed = circuit_seed;
+  return out;
+}
+
+Pipeline resolve_cell(const Json& spec, std::uint64_t circuit_seed) {
+  Pipeline pipeline = Pipeline::from_spec(spec);
+  pipeline.resolve_seeds(circuit_seed);
+  return pipeline;
+}
+
+std::string pipeline_label(const Pipeline& pipeline) {
+  return pipeline.size() == 1 ? pipeline.pass(0).name()
+                              : std::string("pipeline");
+}
+
+JobInit make_job_init(const Network& mapped, const Library& lib,
+                      const FlowOptions& flow) {
+  JobInit init;
+  init_flow_row(mapped, lib, flow, &init.row, &init.activity);
+  return init;
+}
+
 void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row) {
   const PassStats& last = cell.run.passes.back();
   if (cell.label == "cvs") {
@@ -32,115 +81,54 @@ void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row) {
   }
 }
 
-}  // namespace
-
-const char* paper_algo_name(PaperAlgo algo) {
-  switch (algo) {
-    case PaperAlgo::kCvs: return "cvs";
-    case PaperAlgo::kDscale: return "dscale";
-    case PaperAlgo::kGscale: return "gscale";
-  }
-  return "?";
-}
-
-JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow) {
-  JobCell cell;
-  cell.label = paper_algo_name(algo);
-  switch (algo) {
-    case PaperAlgo::kCvs:
-      cell.pipeline.append(make_cvs_pass(flow.cvs));
-      break;
-    case PaperAlgo::kDscale: {
-      DscaleOptions dscale = flow.dscale;
-      dscale.cvs = flow.cvs;
-      cell.pipeline.append(make_dscale_pass(dscale));
-      break;
-    }
-    case PaperAlgo::kGscale: {
-      GscaleOptions gscale = flow.gscale;
-      gscale.cvs = flow.cvs;
-      cell.pipeline.append(make_gscale_pass(gscale));
-      break;
-    }
-  }
-  return cell;
-}
-
-std::string pipeline_label(const Pipeline& pipeline) {
-  return pipeline.size() == 1 ? pipeline.pass(0).name()
-                              : std::string("pipeline");
-}
-
-FlowOptions derive_cell_flow(const FlowOptions& base,
-                             std::uint64_t circuit_seed, PaperAlgo algo) {
-  FlowOptions flow = base;
-  flow.activity.seed = circuit_seed;
-  flow.gscale.random_cut_seed =
-      mix_seed(circuit_seed, static_cast<std::uint64_t>(algo) + 1);
-  return flow;
-}
-
-JobInit make_job_init(const Network& mapped, const Library& lib,
-                      const FlowOptions& flow) {
-  JobInit init;
-  init_flow_row(mapped, lib, flow, &init.row, &init.activity);
-  return init;
-}
-
 PipelineJobResult run_pipeline_job(const Network& mapped, const Library& lib,
-                                   const FlowOptions& base_flow,
-                                   std::vector<JobCell> cells,
-                                   bool capture_designs,
-                                   const JobInit* init) {
+                                   const FlowOptions& flow,
+                                   std::uint64_t circuit_seed,
+                                   const std::vector<Json>& specs,
+                                   bool capture_designs) {
+  const FlowOptions seeded = circuit_flow(flow, circuit_seed);
+  const JobInit init = make_job_init(mapped, lib, seeded);
   PipelineJobResult out;
-  // Activity depends only on the logic and the job-wide options, so the
-  // estimate paid for by the original-power measurement is shared by
-  // every cell instead of being recomputed per Design — and by every
-  // job of the same circuit when the caller hands in a JobInit.
-  Activity activity;
-  if (init != nullptr) {
-    out.row = init->row;
-    activity = init->activity;
-  } else {
-    init_flow_row(mapped, lib, base_flow, &out.row, &activity);
-  }
-  out.cells.reserve(cells.size());
-  for (JobCell& cell : cells) {
-    DVS_EXPECTS(!cell.pipeline.empty());
-    Design design =
-        make_flow_design(mapped, lib, base_flow, out.row.tspec_ns);
-    design.adopt_activity(activity);
-    JobCellResult result;
-    result.label = cell.label;
-    result.spec = cell.pipeline.canonical_spec();
-    result.run = cell.pipeline.run(design);
-    result.improve_pct = improvement_pct(out.row.org_power_uw,
-                                         result.run.passes.back().power_uw);
-    if (cell.pipeline.size() == 1) fill_paper_columns(result, &out.row);
-    if (capture_designs) result.design.emplace(std::move(design));
-    out.cells.push_back(std::move(result));
+  out.row = init.row;
+  out.cells.reserve(specs.size());
+  for (const Json& spec : specs) {
+    out.cells.push_back(run_cell(mapped, lib, seeded, init, circuit_seed,
+                                 spec, capture_designs));
+    fill_paper_columns(out.cells.back(), &out.row);
   }
   return out;
 }
 
-CircuitRunResult run_single_job(const Network& mapped, const Library& lib,
-                                const JobSpec& spec, const JobInit* init) {
-  std::vector<JobCell> cells;
-  const PaperAlgo algos[] = {PaperAlgo::kCvs, PaperAlgo::kDscale,
-                             PaperAlgo::kGscale};
-  const bool enabled[] = {spec.run_cvs, spec.run_dscale, spec.run_gscale};
-  for (int i = 0; i < 3; ++i)
-    if (enabled[i]) cells.push_back(make_paper_cell(algos[i], spec.flow));
-  return run_pipeline_job(mapped, lib, spec.flow, std::move(cells), false,
-                          init)
-      .row;
-}
-
-CircuitRunResult run_paper_flow(const Network& mapped, const Library& lib,
-                                const FlowOptions& options) {
-  JobSpec spec;
-  spec.flow = options;
-  return run_single_job(mapped, lib, spec);
+MatrixResult run_matrix(const std::vector<MatrixCircuit>& circuits,
+                        const std::vector<Json>& specs,
+                        const FlowOptions& flow, ThreadPool& pool) {
+  DVS_EXPECTS(!specs.empty());
+  struct Shared {
+    std::once_flag once;
+    Network net;
+    FlowOptions flow;
+    JobInit init;
+  };
+  std::vector<Shared> shared(circuits.size());
+  MatrixResult out;
+  out.cells.resize(circuits.size() * specs.size());
+  pool.parallel_for(static_cast<int>(out.cells.size()), [&](int t) {
+    const std::size_t c = t / specs.size();
+    const MatrixCircuit& circuit = circuits[c];
+    Shared& s = shared[c];
+    std::call_once(s.once, [&] {
+      s.net = circuit.build();
+      s.flow = circuit_flow(flow, circuit.seed);
+      s.init = make_job_init(s.net, *circuit.lib, s.flow);
+    });
+    out.cells[t] = run_cell(s.net, *circuit.lib, s.flow, s.init, circuit.seed,
+                            specs[t % specs.size()], false);
+  });
+  out.rows.reserve(circuits.size());
+  for (const Shared& s : shared) out.rows.push_back(s.init.row);
+  for (std::size_t t = 0; t < out.cells.size(); ++t)
+    fill_paper_columns(out.cells[t], &out.rows[t / specs.size()]);
+  return out;
 }
 
 }  // namespace dvs

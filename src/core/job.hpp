@@ -1,24 +1,21 @@
-// The single-job flow runner: one mapped circuit through an ordered
-// list of optimization-pass pipelines, producing one Table-1/2 row plus
-// per-pass trajectories.  This is the ONE code path behind every driver
-// — each matrix cell of the parallel suite engine (core/suite.cpp),
-// run_paper_flow, and every dvsd service request run through
-// run_pipeline_job, so a result computed by the daemon is bit-identical
-// to the same cell of a suite_bench run.
+// The cell engine: every (circuit, ladder, pipeline spec) cell runs
+// through the functions below, whichever driver asked for it — the
+// paper suite, pipeline matrices, sweeps, and each dvsd optimize, batch
+// item, and pipeline reoptimize.  A matrix is a list of pipeline specs:
+// the paper's is paper_specs() ("cvs", "dscale", "gscale"), a sweep adds
+// "gscale(area_budget=b)" specs, and a dvsd `algos` list names the same
+// three.  Table 1/2 rows, the pipeline-matrix document, the sweep grid,
+// and the service replies are views over the cell results.
 //
-// The paper's three algorithms are not special-cased anywhere below
-// this line: the legacy three-boolean JobSpec is a thin adapter that
-// compiles into the canonical single-pass pipelines ("cvs", "dscale",
-// "gscale") via make_paper_cell, and arbitrary registry pipelines run
-// through exactly the same machinery.
-//
-// Seed discipline matches the suite engine: every stochastic knob is a
-// pure function of (circuit seed, algorithm/position) via
-// derive_cell_flow / Pipeline::resolve_seeds, never of scheduling or
-// request order.
+// Seed rule (DESIGN.md "Seeds"): the cells of a circuit with seed s
+// estimate switching activity with seed s, and every stochastic pass knob
+// the spec leaves unset derives from (s, pass position) — never from
+// scheduling or request order.  circuit_flow and resolve_cell are the
+// two halves of that rule.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,66 +25,31 @@
 
 namespace dvs {
 
-/// What to run on one circuit (legacy adapter surface).
-struct JobSpec {
-  FlowOptions flow;
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
-};
+class ThreadPool;
 
-/// One pipeline cell of a job.  `label` is "cvs"/"dscale"/"gscale" for
-/// the canonical paper cells (those fill the legacy row columns), the
-/// pass name for other single-pass pipelines, and "pipeline" for
-/// multi-pass specs.
-struct JobCell {
-  std::string label;
-  Pipeline pipeline;
-};
+/// The paper's matrix: one single-pass spec per algorithm of Tables 1/2,
+/// in table order.
+const std::vector<Json>& paper_specs();
 
-const char* paper_algo_name(PaperAlgo algo);
+/// `flow` with the circuit seed as its activity seed: the options every
+/// cell of that circuit runs with.
+FlowOptions circuit_flow(const FlowOptions& flow, std::uint64_t circuit_seed);
 
-/// The canonical paper pipeline of one algorithm with `flow`'s options
-/// (including already-derived seeds) bound onto the pass — what the
-/// legacy JobSpec and the protocol's `algos` field compile to.
-JobCell make_paper_cell(PaperAlgo algo, const FlowOptions& flow);
+/// Parses one spec (grammar string or JSON form; see opt/pipeline.hpp)
+/// and derives its unset stochastic knobs from the circuit seed.  The
+/// cache key and the execution of a cell both come from here, so a job
+/// can never run something its key does not describe.  Throws
+/// PipelineError / OptionError on malformed specs.
+Pipeline resolve_cell(const Json& spec, std::uint64_t circuit_seed);
 
-/// Builds `label` for a spec'd pipeline: the pass name when it has one
-/// pass, "pipeline" otherwise.
+/// The pass name for a single-pass pipeline, "pipeline" otherwise.
 std::string pipeline_label(const Pipeline& pipeline);
-
-/// Result of one executed cell, keyed by cell position: the canonical
-/// spec it ran, the per-pass trajectory, the final improvement over the
-/// original power, and — when capture was requested — the final
-/// optimized Design (voltage assignment, sizing, virtual converters).
-struct JobCellResult {
-  std::string label;
-  std::string spec;
-  double improve_pct = 0.0;
-  PipelineRun run;
-  std::optional<Design> design;
-};
-
-struct PipelineJobResult {
-  CircuitRunResult row;  // legacy columns filled from paper cells
-  std::vector<JobCellResult> cells;  // same order as the request
-};
-
-/// Derives the per-cell flow options from a base configuration: the
-/// activity seed is the circuit seed (shared by all algorithms of the
-/// circuit, so they measure improvement against the same original
-/// power), and algorithm-private randomness (Gscale's ablation cut
-/// selector) is mixed from (circuit seed, algorithm).  This is the suite
-/// engine's derivation, exposed so the service derives identically.
-FlowOptions derive_cell_flow(const FlowOptions& base,
-                             std::uint64_t circuit_seed, PaperAlgo algo);
 
 /// Precomputed circuit-shared job state: init_flow_row's columns plus
 /// the switching-activity estimate.  Both are pure functions of the
-/// mapped circuit and the job-wide options (never of the per-algorithm
-/// seeds), so one computation can be shared by every job the suite runs
-/// on the same circuit — the values are identical to what each job would
-/// compute itself.
+/// mapped circuit and the circuit flow, so every cell of a circuit
+/// shares one computation — the values are identical to what each cell
+/// would compute itself.
 struct JobInit {
   CircuitRunResult row;
   Activity activity;
@@ -98,21 +60,63 @@ struct JobInit {
 JobInit make_job_init(const Network& mapped, const Library& lib,
                       const FlowOptions& flow);
 
-/// Runs every cell on a fresh copy of `mapped` (shared columns from
-/// `base_flow`) and returns the filled row plus the per-cell results.
-/// `capture_designs` moves each cell's final Design into its result.
-/// `init`, when given, supplies the precomputed shared columns/activity
-/// instead of recomputing them.
-PipelineJobResult run_pipeline_job(const Network& mapped, const Library& lib,
-                                   const FlowOptions& base_flow,
-                                   std::vector<JobCell> cells,
-                                   bool capture_designs = false,
-                                   const JobInit* init = nullptr);
+/// One executed cell: the canonical spec it ran, the per-pass trajectory,
+/// the final improvement over the original power, and — when capture was
+/// requested — the final optimized Design.
+struct JobCellResult {
+  std::string label;
+  std::string spec;
+  double improve_pct = 0.0;
+  PipelineRun run;
+  std::optional<Design> design;
+};
 
-/// Legacy three-boolean adapter: compiles `spec` into the canonical
-/// paper pipelines and executes them through run_pipeline_job.
-CircuitRunResult run_single_job(const Network& mapped, const Library& lib,
-                                const JobSpec& spec,
-                                const JobInit* init = nullptr);
+/// Copies a paper cell's final trajectory point into its Table 1/2
+/// columns of `row`; cells of other pipelines leave the row untouched.
+void fill_paper_columns(const JobCellResult& cell, CircuitRunResult* row);
+
+/// One circuit's cells: its shared columns with every paper cell's
+/// columns filled in, and the cells in spec order.
+struct PipelineJobResult {
+  CircuitRunResult row;
+  std::vector<JobCellResult> cells;
+};
+
+/// Runs every spec on `mapped`, one after another on the calling thread
+/// — the one-circuit form dvsd executes on a pool worker.
+/// `capture_designs` moves each cell's final Design into its result.
+PipelineJobResult run_pipeline_job(const Network& mapped, const Library& lib,
+                                   const FlowOptions& flow,
+                                   std::uint64_t circuit_seed,
+                                   const std::vector<Json>& specs,
+                                   bool capture_designs = false);
+
+/// One (circuit, ladder) of a matrix: the effective library, the circuit
+/// seed, and how to build the mapped circuit.  `build` runs once, on a
+/// pool worker, and must be safe to call concurrently with the builds of
+/// the matrix's other circuits.
+struct MatrixCircuit {
+  const Library* lib = nullptr;
+  std::uint64_t seed = 0;
+  std::function<Network()> build;
+};
+
+/// Rows per circuit (shared columns plus paper columns, as in
+/// PipelineJobResult) and cells circuit-major: cell c * specs.size() + s
+/// ran spec s on circuit c.
+struct MatrixResult {
+  std::vector<CircuitRunResult> rows;
+  std::vector<JobCellResult> cells;
+};
+
+/// Runs circuits x specs on `pool`, one task per cell.  Each circuit's
+/// build and JobInit are computed once, by whichever of its cells starts
+/// first, and shared by the rest.  Results do not depend on the thread
+/// count; a one-thread pool runs the cells in index order.  Must not be
+/// called from a pool worker; a failing cell's exception is rethrown
+/// here.
+MatrixResult run_matrix(const std::vector<MatrixCircuit>& circuits,
+                        const std::vector<Json>& specs,
+                        const FlowOptions& flow, ThreadPool& pool);
 
 }  // namespace dvs

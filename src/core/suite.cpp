@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -18,13 +17,6 @@
 namespace dvs {
 
 namespace {
-
-/// One cell of the circuit x algorithm matrix.
-struct SuiteTask {
-  int row_index;
-  const McncDescriptor* descriptor;
-  PaperAlgo algo;
-};
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -41,9 +33,9 @@ std::string num(double v) {
   return buf;
 }
 
-/// Library resolution shared by the legacy and the pipeline matrix:
-/// the caller's library (or the compass default), reladdered onto
-/// `options.supplies` when set.  `fallback`/`reladdered` provide the
+/// Library resolution shared by both suite reports: the caller's
+/// library (or the compass default), reladdered onto `options.supplies`
+/// when set.  `fallback`/`reladdered` provide the
 /// storage; the returned pointer aliases one of them or `lib`.
 const Library* effective_library(const SuiteOptions& options,
                                  const Library* lib,
@@ -58,7 +50,7 @@ const Library* effective_library(const SuiteOptions& options,
   return lib;
 }
 
-/// Circuit selection shared by the legacy and the pipeline matrix.
+/// Circuit selection shared by both suite reports.
 std::vector<const McncDescriptor*> select_circuits(
     const SuiteOptions& options) {
   std::vector<const McncDescriptor*> selected;
@@ -79,14 +71,33 @@ std::vector<const McncDescriptor*> select_circuits(
   return selected;
 }
 
-}  // namespace
+/// The selected circuits x `specs` on a fresh pool: what both suite
+/// reports are views of.
+struct SuiteRun {
+  MatrixResult matrix;
+  int num_threads = 0;
+  double wall_seconds = 0.0;
+};
 
-FlowOptions suite_task_flow(const SuiteOptions& options,
-                            const McncDescriptor& descriptor,
-                            PaperAlgo algo) {
-  return derive_cell_flow(options.flow,
-                          mix_seed(options.seed, descriptor.seed), algo);
+SuiteRun run_suite_matrix(const SuiteOptions& options, const Library& lib,
+                          const std::vector<const McncDescriptor*>& selected,
+                          const std::vector<Json>& specs) {
+  std::vector<MatrixCircuit> circuits;
+  for (const McncDescriptor* d : selected)
+    circuits.push_back({&lib, mix_seed(options.seed, d->seed),
+                        [&lib, d] { return build_mcnc_circuit(lib, *d); }});
+  SuiteRun run;
+  const auto start = std::chrono::steady_clock::now();
+  ThreadPool pool(options.num_threads);
+  run.num_threads = pool.num_threads();
+  run.matrix = run_matrix(circuits, specs, options.flow, pool);
+  run.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  return run;
 }
+
+}  // namespace
 
 SuiteReport run_suite(const SuiteOptions& options, const Library* lib) {
   std::optional<Library> fallback;
@@ -100,89 +111,13 @@ SuiteReport run_suite(const SuiteOptions& options, const Library* lib) {
   report.supplies = lib->supplies().voltages();
   report.vdd_high = lib->vdd_high();
   report.vdd_low = lib->vdd_low();
-  report.rows.resize(selected.size());
   report.papers.reserve(selected.size());
   for (const McncDescriptor* d : selected) report.papers.emplace_back(d->paper);
 
-  // ---- build the task matrix --------------------------------------------
-  std::vector<SuiteTask> tasks;
-  for (int i = 0; i < static_cast<int>(selected.size()); ++i) {
-    if (options.run_cvs) tasks.push_back({i, selected[i], PaperAlgo::kCvs});
-    if (options.run_dscale)
-      tasks.push_back({i, selected[i], PaperAlgo::kDscale});
-    if (options.run_gscale)
-      tasks.push_back({i, selected[i], PaperAlgo::kGscale});
-  }
-
-  // Shared columns (tspec, original power) and the mapped circuit itself
-  // are deterministic per circuit and independent of the per-algorithm
-  // seeds, so the circuit's three tasks share one build + one JobInit:
-  // whichever task arrives first computes them under call_once and the
-  // values are identical to what each task would derive privately.
-  std::vector<CircuitRunResult> cells(tasks.size());
-  struct SharedCircuit {
-    std::once_flag once;
-    Network net;
-    JobInit init;
-  };
-  std::vector<SharedCircuit> shared(selected.size());
-
-  const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(options.num_threads);
-  report.num_threads = pool.num_threads();
-  pool.parallel_for(static_cast<int>(tasks.size()), [&](int t) {
-    const SuiteTask& task = tasks[t];
-    JobSpec spec;
-    spec.flow = suite_task_flow(options, *task.descriptor, task.algo);
-    spec.run_cvs = task.algo == PaperAlgo::kCvs;
-    spec.run_dscale = task.algo == PaperAlgo::kDscale;
-    spec.run_gscale = task.algo == PaperAlgo::kGscale;
-    SharedCircuit& sc = shared[task.row_index];
-    std::call_once(sc.once, [&] {
-      sc.net = build_mcnc_circuit(*lib, *task.descriptor);
-      sc.init = make_job_init(sc.net, *lib, spec.flow);
-    });
-    cells[t] = run_single_job(sc.net, *lib, spec, &sc.init);
-  });
-  report.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-
-  // ---- merge the cells into per-circuit rows ----------------------------
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const SuiteTask& task = tasks[t];
-    CircuitRunResult& row = report.rows[task.row_index];
-    const CircuitRunResult& cell = cells[t];
-    if (row.name.empty()) {
-      row.name = cell.name;
-      row.num_gates = cell.num_gates;
-      row.tspec_ns = cell.tspec_ns;
-      row.org_power_uw = cell.org_power_uw;
-    } else {
-      // The shared columns are seed-determined; any divergence means a
-      // task depended on scheduling, which breaks the whole contract.
-      DVS_ASSERT(row.tspec_ns == cell.tspec_ns &&
-                 row.org_power_uw == cell.org_power_uw);
-    }
-    switch (task.algo) {
-      case PaperAlgo::kCvs:
-        row.cvs_low = cell.cvs_low;
-        row.cvs_improve_pct = cell.cvs_improve_pct;
-        break;
-      case PaperAlgo::kDscale:
-        row.dscale_low = cell.dscale_low;
-        row.dscale_lcs = cell.dscale_lcs;
-        row.dscale_improve_pct = cell.dscale_improve_pct;
-        break;
-      case PaperAlgo::kGscale:
-        row.gscale_low = cell.gscale_low;
-        row.gscale_resized = cell.gscale_resized;
-        row.gscale_area_increase = cell.gscale_area_increase;
-        row.gscale_improve_pct = cell.gscale_improve_pct;
-        row.gscale_seconds = cell.gscale_seconds;
-        break;
-    }
-  }
+  SuiteRun run = run_suite_matrix(options, *lib, selected, paper_specs());
+  report.rows = std::move(run.matrix.rows);
+  report.num_threads = run.num_threads;
+  report.wall_seconds = run.wall_seconds;
   return report;
 }
 
@@ -259,53 +194,27 @@ PipelineSuiteReport run_pipeline_suite(
   PipelineSuiteReport report;
   // Validate every spec up front (a typo fails the whole matrix
   // immediately) and record the circuit-independent canonical form.
-  for (const std::string& spec : pipelines)
+  // The cells run the specs as written: which options a spec set
+  // explicitly drives seed resolution.
+  std::vector<Json> specs;
+  for (const std::string& spec : pipelines) {
     report.specs.push_back(Pipeline::parse(spec).canonical_spec());
+    specs.emplace_back(spec);
+  }
 
-  const std::vector<const McncDescriptor*> selected =
-      select_circuits(options);
-  report.cells.resize(selected.size() * pipelines.size());
-
-  const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(options.num_threads);
-  report.num_threads = pool.num_threads();
-  pool.parallel_for(
-      static_cast<int>(report.cells.size()), [&](int t) {
-        const McncDescriptor& descriptor =
-            *selected[t / pipelines.size()];
-        const std::string& spec = pipelines[t % pipelines.size()];
-        const std::uint64_t circuit_seed =
-            mix_seed(options.seed, descriptor.seed);
-        // Parse from the *original* spec per task: which options the
-        // spec set explicitly drives seed resolution, and canonical
-        // respellings would erase that distinction.
-        JobCell cell;
-        Pipeline pipeline = Pipeline::parse(spec);
-        pipeline.resolve_seeds(circuit_seed);
-        cell.label = pipeline_label(pipeline);
-        cell.pipeline = std::move(pipeline);
-
-        FlowOptions flow = options.flow;
-        flow.activity.seed = circuit_seed;
-        std::vector<JobCell> cells;
-        cells.push_back(std::move(cell));
-        const Network net = build_mcnc_circuit(*lib, descriptor);
-        PipelineJobResult job =
-            run_pipeline_job(net, *lib, flow, std::move(cells));
-
-        PipelineSuiteCell& out = report.cells[t];
-        out.circuit = job.row.name;
-        out.num_gates = job.row.num_gates;
-        out.tspec_ns = job.row.tspec_ns;
-        out.org_power_uw = job.row.org_power_uw;
-        out.label = job.cells[0].label;
-        out.spec = job.cells[0].spec;
-        out.improve_pct = job.cells[0].improve_pct;
-        out.run = std::move(job.cells[0].run);
-      });
-  report.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+  SuiteRun run =
+      run_suite_matrix(options, *lib, select_circuits(options), specs);
+  report.num_threads = run.num_threads;
+  report.wall_seconds = run.wall_seconds;
+  report.cells.reserve(run.matrix.cells.size());
+  for (std::size_t t = 0; t < run.matrix.cells.size(); ++t) {
+    const CircuitRunResult& row = run.matrix.rows[t / specs.size()];
+    JobCellResult& cell = run.matrix.cells[t];
+    report.cells.push_back({row.name, row.num_gates, row.tspec_ns,
+                            row.org_power_uw, std::move(cell.label),
+                            std::move(cell.spec), cell.improve_pct,
+                            std::move(cell.run)});
+  }
   return report;
 }
 

@@ -1,13 +1,14 @@
-// Parallel benchmark-suite engine: fans the full MCNC suite x
-// {CVS, Dscale, Gscale} matrix across a work-stealing thread pool and
-// aggregates the per-circuit rows into the paper's Table 1 / Table 2
-// reports plus a machine-readable JSON document (BENCH_suite.json).
+// Suite reports over the cell engine (core/job.hpp): the MCNC circuits x
+// pipeline specs matrix fanned across a work-stealing thread pool.  The
+// paper's matrix (specs "cvs", "dscale", "gscale") becomes the Table 1 /
+// Table 2 rows and BENCH_suite.json; any other spec list becomes the
+// per-pass trajectory document of run_pipeline_suite.
 //
-// Every matrix cell is an independent task that rebuilds its circuit and
-// derives every RNG seed deterministically from (suite seed, circuit
-// seed, algorithm), so results are bit-identical regardless of thread
-// count or scheduling — `num_threads = 1` is the serial reference path
-// and N-thread runs must reproduce it exactly (suite_test.cpp holds the
+// Every seed is a pure function of (suite seed, circuit seed, pass
+// position), and each circuit is built and initialized once for all of
+// its cells, so results are bit-identical regardless of thread count or
+// scheduling — `num_threads = 1` is the serial reference path and
+// N-thread runs must reproduce it exactly (suite_test.cpp holds the
 // engine to that).
 #pragma once
 
@@ -21,19 +22,13 @@
 
 namespace dvs {
 
-struct McncDescriptor;
-
 struct SuiteOptions {
-  /// Base flow configuration; per-task seeds are derived on top of it.
+  /// Shared flow knobs; each circuit's seed becomes its activity seed.
   FlowOptions flow;
   /// Circuits to run (MCNC names); empty = the full 39-circuit suite.
   std::vector<std::string> circuits;
   /// Skip circuits with more gates than this (0 = run everything).
   int max_gates = 0;
-  /// Algorithms to run; all three by default.
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
   /// Worker threads (1 = serial reference, 0 = hardware concurrency).
   int num_threads = 0;
   /// Root seed every per-task seed is mixed from.
@@ -62,34 +57,23 @@ struct SuiteReport {
   std::string to_json() const;
 };
 
-/// Runs the matrix.  `lib` defaults to the compass library at the
-/// paper's (5.0V, 4.3V) when null.
+/// Runs the paper's matrix (paper_specs()).  `lib` defaults to the
+/// compass library at the paper's (5.0V, 4.3V) when null.  The circuit
+/// seed of circuit d is mix_seed(options.seed, d.seed) — the derivation
+/// dvsd uses for named circuits, so a daemon answer equals the matching
+/// suite row bit for bit.
 SuiteReport run_suite(const SuiteOptions& options = {},
                       const Library* lib = nullptr);
-
-/// Per-cell flow options of one (circuit, algorithm) matrix cell: every
-/// seed is a pure function of (suite seed, circuit seed, algorithm),
-/// never of scheduling order.  Exposed so the dvsd service derives the
-/// exact same options for named-circuit and batch requests — equality
-/// with a suite_bench run at the same seed is a protocol guarantee.
-FlowOptions suite_task_flow(const SuiteOptions& options,
-                            const McncDescriptor& descriptor,
-                            PaperAlgo algo);
 
 void write_suite_json(const SuiteReport& report, const std::string& path);
 
 // ---- pipeline matrices -----------------------------------------------------
-// The suite engine generalized over the pass registry: the matrix is
-// circuits x pipeline specs instead of circuits x the three hard-wired
-// algorithms.  Every pass knob comes from the spec itself (that is what
-// makes a spec's canonical form the cell's full identity) — the
-// per-algorithm structs in SuiteOptions::flow are deliberately not
-// consulted; only the shared knobs (activity, freq_mhz, tspec_relax)
-// are.  With those spec'd or defaulted knobs matching, the canonical
-// single-pass specs ("cvs", "dscale", "gscale") reproduce the legacy
-// matrix cells bit-identically (pipeline_test.cpp holds the engine to
-// that); arbitrary specs open hybrid flows like
-// "cvs | gscale(area_budget=0.05) | dscale" across the whole suite.
+// The same matrix over arbitrary specs, reported per cell with its
+// per-pass trajectory.  Every pass knob comes from the spec itself (that
+// is what makes a spec's canonical form the cell's full identity); the
+// specs "cvs", "dscale", "gscale" give exactly run_suite's cells
+// (pipeline_test.cpp), and hybrids like
+// "cvs | gscale(area_budget=0.05) | dscale" run across the whole suite.
 
 /// One (circuit, pipeline) cell: shared columns plus the executed
 /// pipeline's per-pass trajectory.
@@ -116,14 +100,9 @@ struct PipelineSuiteReport {
   std::string to_json() const;
 };
 
-/// Runs the circuits x `pipelines` matrix on the thread pool with the
-/// suite engine's determinism contract: every stochastic knob derives
-/// from (suite seed, circuit seed, pipeline position), never from
-/// scheduling.  `options.run_*` flags and the per-algorithm structs in
-/// `options.flow` are ignored (pass knobs belong to the spec, see
-/// above); circuit selection, threads, the root seed, and the shared
-/// flow knobs (activity vectors, freq_mhz, tspec_relax) come from
-/// `options` as in run_suite.
+/// Runs the circuits x `pipelines` matrix with run_suite's circuits,
+/// seeds, threads, and shared flow knobs.  Every spec is validated
+/// before any cell runs.
 PipelineSuiteReport run_pipeline_suite(
     const SuiteOptions& options, const std::vector<std::string>& pipelines,
     const Library* lib = nullptr);

@@ -1,7 +1,7 @@
 #include "core/sweep_matrix.hpp"
 
 #include <algorithm>
-#include <future>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -11,102 +11,9 @@
 
 namespace dvs {
 
-namespace {
-
-/// One fully-specified grid point, expanded before execution so cells
-/// can run in any order and still land deterministically.
-struct CellSpec {
-  std::vector<double> supplies;
-  double budget = 0.0;
-  PaperAlgo algo = PaperAlgo::kCvs;
-  bool has_budget = false;  // gscale cells only
-};
-
-std::vector<CellSpec> expand(const SweepMatrixSpec& spec,
-                             const Library& base_lib) {
-  std::vector<std::vector<double>> ladders = spec.ladders;
-  if (ladders.empty()) ladders.push_back(base_lib.supplies().voltages());
-  std::vector<double> budgets = spec.area_budgets;
-  if (budgets.empty()) budgets.push_back(spec.base.gscale.area_budget_ratio);
-
-  std::vector<CellSpec> cells;
-  for (const std::vector<double>& ladder : ladders) {
-    SupplyLadder{ladder};  // validate up front: one bad ladder fails all
-    if (spec.run_cvs)
-      cells.push_back({ladder, 0.0, PaperAlgo::kCvs, false});
-    if (spec.run_dscale)
-      cells.push_back({ladder, 0.0, PaperAlgo::kDscale, false});
-    if (spec.run_gscale)
-      for (double budget : budgets)
-        cells.push_back({ladder, budget, PaperAlgo::kGscale, true});
-  }
-  return cells;
+std::string gscale_budget_spec(double budget) {
+  return "gscale(area_budget=" + shortest_double_spelling(budget) + ")";
 }
-
-SweepCellResult run_cell(
-    const std::function<Network(const Library&)>& source,
-    const Library& base_lib, const SweepMatrixSpec& spec,
-    const CellSpec& cell) {
-  // The cell's operating point: the base library retargeted to the
-  // cell's ladder (skipping the copy when it already matches).
-  SupplyLadder ladder(cell.supplies);
-  const Library* lib = &base_lib;
-  std::optional<Library> adjusted;
-  if (ladder != base_lib.supplies()) {
-    adjusted.emplace(base_lib);
-    adjusted->set_supply_ladder(std::move(ladder));
-    lib = &*adjusted;
-  }
-  const Network net = source(*lib);
-
-  // The suite engine's per-cell seed derivation, so a sweep cell is
-  // comparable to the matching daemon / suite_bench cell.
-  FlowOptions flow = derive_cell_flow(spec.base, spec.circuit_seed,
-                                      cell.algo);
-  if (cell.has_budget) flow.gscale.area_budget_ratio = cell.budget;
-
-  CircuitRunResult row;
-  Activity activity;
-  init_flow_row(net, *lib, flow, &row, &activity);
-  Design design = make_flow_design(net, *lib, flow, row.tspec_ns);
-  design.adopt_activity(std::move(activity));
-
-  SweepCellResult out;
-  out.supplies = cell.supplies;
-  out.area_budget = cell.has_budget ? cell.budget : 0.0;
-  out.algo = paper_algo_name(cell.algo);
-  out.delay_penalty_pct =
-      100.0 *
-      (lib->voltage_model().delay_factor(lib->supplies().bottom()) - 1.0);
-  out.gates = row.num_gates;
-  out.tspec_ns = row.tspec_ns;
-  out.org_power_uw = row.org_power_uw;
-
-  switch (cell.algo) {
-    case PaperAlgo::kCvs:
-      run_cvs(design, flow.cvs);
-      break;
-    case PaperAlgo::kDscale:
-      run_dscale(design, flow.dscale);
-      break;
-    case PaperAlgo::kGscale: {
-      const GscaleResult r = run_gscale(design, flow.gscale);
-      out.resized = r.num_resized;
-      out.area_increase = r.area_increase_ratio;
-      break;
-    }
-  }
-
-  out.power_uw = design.run_power().total();
-  out.improve_pct = improvement_pct(out.org_power_uw, out.power_uw);
-  out.arrival_ns = design.run_timing().worst_arrival;
-  out.area_um2 = design.total_area();
-  out.low = design.count_low();
-  out.level_converters = design.count_lcs();
-  return out;
-}
-
-}  // namespace
 
 std::vector<int> mark_pareto(std::vector<SweepCellResult>& cells) {
   // Sort-then-sweep over (power, arrival) ascending.  A cell is
@@ -148,31 +55,72 @@ SweepMatrixResult run_sweep_matrix(
     const std::function<Network(const Library&)>& source,
     const Library& base_lib, const SweepMatrixSpec& spec,
     ThreadPool* pool) {
-  const std::vector<CellSpec> specs = expand(spec, base_lib);
-  SweepMatrixResult result;
-  result.cells.resize(specs.size());
-  if (pool != nullptr && specs.size() > 1) {
-    // One pool task per cell; the caller's thread (a session I/O thread
-    // or a bench main) blocks on the futures, never a pool worker, so a
-    // single-threaded pool cannot deadlock on its own sweep.
-    std::vector<std::future<SweepCellResult>> futures(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      auto promise = std::make_shared<std::promise<SweepCellResult>>();
-      futures[i] = promise->get_future();
-      const CellSpec* cell = &specs[i];
-      pool->submit([&source, &base_lib, &spec, cell, promise] {
-        try {
-          promise->set_value(run_cell(source, base_lib, spec, *cell));
-        } catch (...) {
-          promise->set_exception(std::current_exception());
-        }
-      });
+  std::vector<std::vector<double>> ladders = spec.ladders;
+  if (ladders.empty()) ladders.push_back(base_lib.supplies().voltages());
+  // Each ladder's operating point, checked before any cell runs (one bad
+  // ladder fails the whole grid): the base library retargeted to the
+  // ladder, skipping the copy when it already matches.
+  std::deque<Library> retargeted;
+  std::vector<MatrixCircuit> circuits;
+  for (const std::vector<double>& voltages : ladders) {
+    SupplyLadder ladder(voltages);
+    const Library* lib = &base_lib;
+    if (ladder != base_lib.supplies()) {
+      retargeted.emplace_back(base_lib);
+      retargeted.back().set_supply_ladder(std::move(ladder));
+      lib = &retargeted.back();
     }
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      result.cells[i] = futures[i].get();  // rethrows cell failures
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      result.cells[i] = run_cell(source, base_lib, spec, specs[i]);
+    circuits.push_back(
+        {lib, spec.circuit_seed, [&source, lib] { return source(*lib); }});
+  }
+  // The area budget a spec pins, for the gscale cells' column (parsing
+  // here also rejects a bad spec before any cell runs).
+  std::vector<double> budgets;
+  for (const Json& cell_spec : spec.specs) {
+    const Pipeline pipeline = Pipeline::from_spec(cell_spec);
+    budgets.push_back(pipeline_label(pipeline) == "gscale"
+                          ? pipeline.pass(0)
+                                .canonical_options()
+                                .at("area_budget")
+                                .as_double()
+                          : 0.0);
+  }
+
+  std::optional<ThreadPool> private_pool;
+  if (pool == nullptr) pool = &private_pool.emplace(1);
+  MatrixResult matrix = run_matrix(circuits, spec.specs, spec.base, *pool);
+
+  SweepMatrixResult result;
+  result.cells.reserve(matrix.cells.size());
+  for (std::size_t t = 0; t < matrix.cells.size(); ++t) {
+    const std::size_t l = t / spec.specs.size();
+    const Library& lib = *circuits[l].lib;
+    const CircuitRunResult& row = matrix.rows[l];
+    const JobCellResult& cell = matrix.cells[t];
+    const PassStats& last = cell.run.passes.back();
+    // The cell's own Table 1/2 columns carry Gscale's sizing counters.
+    CircuitRunResult columns;
+    fill_paper_columns(cell, &columns);
+
+    SweepCellResult out;
+    out.supplies = ladders[l];
+    out.area_budget = budgets[t % spec.specs.size()];
+    out.algo = cell.label;
+    out.delay_penalty_pct =
+        100.0 *
+        (lib.voltage_model().delay_factor(lib.supplies().bottom()) - 1.0);
+    out.gates = row.num_gates;
+    out.tspec_ns = row.tspec_ns;
+    out.org_power_uw = row.org_power_uw;
+    out.power_uw = last.power_uw;
+    out.improve_pct = cell.improve_pct;
+    out.arrival_ns = last.arrival_ns;
+    out.area_um2 = last.area_um2;
+    out.low = last.low_gates;
+    out.level_converters = last.level_converters;
+    out.resized = columns.gscale_resized;
+    out.area_increase = columns.gscale_area_increase;
+    result.cells.push_back(std::move(out));
   }
   result.pareto = mark_pareto(result.cells);
   return result;

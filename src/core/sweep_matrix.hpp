@@ -1,15 +1,16 @@
-// The sweep-matrix engine: one implementation of the supply-ladder x
-// area-budget x algorithm experiment grid behind the E5/E6 bench drivers
-// (bench/sweep_vlow.cpp, bench/sweep_area_budget.cpp) and the dvsd
-// `sweep` session verb.  Cells are independent (fresh library copy,
-// fresh circuit, per-cell seeds derived with the suite engine's
-// discipline), so they fan out on the ThreadPool and the result is
-// bit-identical however they were scheduled.
+// The sweep grid: supply ladders x pipeline specs on the cell engine
+// (core/job.hpp), behind the E5/E6 bench drivers (bench/sweep_vlow.cpp,
+// bench/sweep_area_budget.cpp) and the dvsd `sweep` session verb.  The
+// paper's cells (cvs, dscale, gscale) plus an area-budget axis written
+// as gscale(area_budget=b) specs make the classic grid.  Each ladder is
+// one matrix circuit, so its circuit and JobInit are shared by all of
+// its cells, and the grid is bit-identical however the cells were
+// scheduled.
 //
-// The circuit comes from a callback taking the cell's effective library:
-// generator-backed drivers rebuild (and re-map) the circuit at each
-// ladder's operating point, while design sessions return a snapshot of
-// the edited network whose mapping is pinned by construction.
+// The circuit comes from a callback taking the ladder's effective
+// library: generator-backed drivers rebuild (and re-map) the circuit at
+// each ladder's operating point, while design sessions return a
+// snapshot of the edited network whose mapping is pinned by construction.
 #pragma once
 
 #include <cstdint>
@@ -29,18 +30,16 @@ struct SweepMatrixSpec {
   /// Supply ladders to sweep (each strictly descending, validated by
   /// SupplyLadder).  Empty = just the base library's ladder.
   std::vector<std::vector<double>> ladders;
-  /// Gscale area-budget axis.  Empty = just the base options' budget.
-  /// Cvs/Dscale cells ignore it and run once per ladder.
-  std::vector<double> area_budgets;
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
-  /// Base flow configuration; per-cell seeds are derived from
-  /// (circuit_seed, algorithm) via derive_cell_flow, matching the suite
-  /// engine and the daemon.
+  /// Pipeline specs run at every ladder, in grid order (at least one).
+  std::vector<Json> specs;
+  /// Shared flow knobs; the circuit seed seeds every cell (job.hpp).
   FlowOptions base;
   std::uint64_t circuit_seed = 0x5eed;
 };
+
+/// gscale with its area budget pinned, spelled so the double survives
+/// the spec round trip exactly.
+std::string gscale_budget_spec(double budget);
 
 /// One measured cell of the grid.
 struct SweepCellResult {
@@ -66,7 +65,7 @@ struct SweepCellResult {
 };
 
 struct SweepMatrixResult {
-  std::vector<SweepCellResult> cells;  // grid order: ladder, algo, budget
+  std::vector<SweepCellResult> cells;  // grid order: ladder, then spec
   std::vector<int> pareto;             // indices of the power/delay front
 };
 
@@ -78,11 +77,11 @@ struct SweepMatrixResult {
 /// tests against the quadratic pairwise definition.
 std::vector<int> mark_pareto(std::vector<SweepCellResult>& cells);
 
-/// Runs the grid.  `source` is called once per cell with the cell's
-/// effective library and must return the circuit to optimize; it must be
-/// thread-safe when `pool` is non-null (cells run concurrently).  A null
-/// pool runs the cells serially on the calling thread; either way the
-/// cells land in deterministic grid order.  Throws on invalid ladders.
+/// Runs the grid on `pool` (null = a private one-thread pool).  `source`
+/// is called once per ladder with the ladder's effective library and
+/// must return the circuit to optimize; it must be thread-safe (ladders
+/// build concurrently).  Must not be called from a pool worker.  Throws
+/// on invalid ladders or specs before any cell runs.
 SweepMatrixResult run_sweep_matrix(
     const std::function<Network(const Library&)>& source,
     const Library& base_lib, const SweepMatrixSpec& spec,

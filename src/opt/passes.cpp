@@ -2,7 +2,10 @@
 
 #include <utility>
 
+#include "core/cvs.hpp"
 #include "core/design.hpp"
+#include "core/dscale.hpp"
+#include "core/gscale.hpp"
 #include "opt/registry.hpp"
 #include "support/rng.hpp"
 #include "timing/incremental.hpp"
@@ -25,8 +28,6 @@ const OptionSchema& cvs_schema() {
 class CvsPass final : public Pass {
  public:
   CvsPass() : Pass("cvs") {}
-  explicit CvsPass(const CvsOptions& options)
-      : Pass("cvs"), options_(options) {}
 
   const OptionSchema& schema() const override { return cvs_schema(); }
   void* options_blob() override { return &options_; }
@@ -71,8 +72,6 @@ const OptionSchema& dscale_schema() {
 class DscalePass final : public Pass {
  public:
   DscalePass() : Pass("dscale") {}
-  explicit DscalePass(const DscaleOptions& options)
-      : Pass("dscale"), options_(options) {}
 
   const OptionSchema& schema() const override { return dscale_schema(); }
   void* options_blob() override { return &options_; }
@@ -118,21 +117,14 @@ const OptionSchema& gscale_schema() {
 class GscalePass final : public Pass {
  public:
   GscalePass() : Pass("gscale") {}
-  explicit GscalePass(const GscaleOptions& options)
-      : Pass("gscale"), options_(options) {
-    // Adapter-provided options carry an already-derived cut seed; mark
-    // it explicit so resolve_seeds never second-guesses the caller.
-    mark_set("random_cut_seed");
-  }
 
   const OptionSchema& schema() const override { return gscale_schema(); }
   void* options_blob() override { return &options_; }
 
   void resolve_seeds(std::uint64_t circuit_seed, int position) override {
-    // Stream 3 at position 0 is the suite engine's legacy derivation
-    // (mix_seed(circuit_seed, kGscale + 1)), so a spec'd "gscale"
-    // pipeline is bit-identical to — and cache-aliases with — the
-    // hard-wired gscale cell; later positions get their own streams.
+    // Stream 3 + position: each position gets its own stream, and a
+    // single "gscale" cell keeps the stream (3) its cache keys and
+    // suite rows have always used.
     if (!is_set("random_cut_seed"))
       options_.random_cut_seed =
           mix_seed(circuit_seed, 3 + static_cast<std::uint64_t>(position));
@@ -210,18 +202,6 @@ void register_builtin_passes(PassRegistry& registry) {
   registry.register_pass("trim", [] { return std::make_unique<TrimPass>(); });
   registry.register_pass("measure",
                          [] { return std::make_unique<MeasurePass>(); });
-}
-
-std::unique_ptr<Pass> make_cvs_pass(const CvsOptions& options) {
-  return std::make_unique<CvsPass>(options);
-}
-
-std::unique_ptr<Pass> make_dscale_pass(const DscaleOptions& options) {
-  return std::make_unique<DscalePass>(options);
-}
-
-std::unique_ptr<Pass> make_gscale_pass(const GscaleOptions& options) {
-  return std::make_unique<GscalePass>(options);
 }
 
 }  // namespace dvs

@@ -9,25 +9,11 @@
 //             point between other passes
 #pragma once
 
-#include <memory>
-
-#include "core/cvs.hpp"
-#include "core/dscale.hpp"
-#include "core/gscale.hpp"
-#include "opt/pass.hpp"
-
 namespace dvs {
 
 class PassRegistry;
 
 /// Registers the five built-ins; called once by pass_registry().
 void register_builtin_passes(PassRegistry& registry);
-
-/// Pre-configured pass instances for the legacy FlowOptions adapter
-/// (core/job.cpp): the pass carries exactly the options the hard-wired
-/// flow used, so adapter-built pipelines reproduce rows bit-identically.
-std::unique_ptr<Pass> make_cvs_pass(const CvsOptions& options);
-std::unique_ptr<Pass> make_dscale_pass(const DscaleOptions& options);
-std::unique_ptr<Pass> make_gscale_pass(const GscaleOptions& options);
 
 }  // namespace dvs

@@ -50,7 +50,7 @@ struct DesignRegistry::Handle {
   std::string circuit;  // MCNC name or "<inline>"
   std::uint64_t circuit_seed = 0;
   JobOptions options;       // as opened (sweeps re-derive from these)
-  FlowOptions base_flow;    // derive_cell_flow(options, seed, kCvs)
+  FlowOptions base_flow;    // circuit_flow(options, circuit_seed)
   double tspec = 0.0;       // frozen at open: mapped delay * (1+relax)
   double org_power_uw = 0.0;
 
@@ -420,17 +420,14 @@ Json::Object DesignRegistry::open(const OpenDesignRequest& request) {
         if (mapped.num_gates() == 0)
           throw ProtocolError("netlist has no gates to optimize");
       }
-      handle->base_flow =
-          derive_cell_flow(request.options.to_flow_options(),
-                           handle->circuit_seed, PaperAlgo::kCvs);
-      CircuitRunResult row;
-      Activity activity;
-      init_flow_row(mapped, lib, handle->base_flow, &row, &activity);
-      handle->tspec = row.tspec_ns;
-      handle->org_power_uw = row.org_power_uw;
+      handle->base_flow = circuit_flow(request.options.to_flow_options(),
+                                       handle->circuit_seed);
+      JobInit init = make_job_init(mapped, lib, handle->base_flow);
+      handle->tspec = init.row.tspec_ns;
+      handle->org_power_uw = init.row.org_power_uw;
       handle->design.emplace(
           make_flow_design(mapped, lib, handle->base_flow, handle->tspec));
-      handle->design->adopt_activity(std::move(activity));
+      handle->design->adopt_activity(std::move(init.activity));
       const Network& net = handle->design->network();
       handle->original_cells.assign(net.size(), -1);
       net.for_each_gate(
@@ -532,11 +529,9 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   Design& design = *handle->design;
   const Network& net = design.network();
 
-  const bool pipeline_mode =
-      request.has_algos || !request.pipeline.is_null();
   DesignReoptimizeResult out;
 
-  if (!pipeline_mode) {
+  if (request.specs.empty()) {
     // Evaluate mode: the ECO hot path.  Incremental reads the
     // maintained timer; full rebuilds a fresh Design from the current
     // network — i.e. exactly the stateless computation — and then
@@ -603,19 +598,12 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
     return out;
   }
 
-  // Pipeline mode: re-run the named passes from scratch on the edited
-  // netlist, through the same job machinery (and the same result cache)
-  // as a stateless optimize of this exact network.
+  // Pipeline mode: re-run the specs from scratch on the edited netlist,
+  // through the same cell engine (and the same result cache) as a
+  // stateless optimize of this exact network.
   OptimizeRequest synth;
   synth.options = handle->options;
-  if (request.has_algos) {
-    synth.run_cvs = request.run_cvs;
-    synth.run_dscale = request.run_dscale;
-    synth.run_gscale = request.run_gscale;
-  } else {
-    synth.run_cvs = synth.run_dscale = synth.run_gscale = false;
-    synth.pipeline = request.pipeline;
-  }
+  synth.specs = request.specs;
   Clock::time_point mark = Clock::now();
   CacheKey key;
   // Content-addressed, not handle-addressed: the key hashes what the
@@ -659,11 +647,11 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
     if (trace) trace->add("cache_lookup", mark, Clock::now());
   }
   mark = Clock::now();
-  Json::Object body = pipeline_body_object(
-      net, *handle->lib, handle->base_flow,
-      build_job_cells(synth, handle->circuit_seed), trace);
-  out.body =
-      std::make_shared<const std::string>(Json(std::move(body)).dump());
+  const PipelineJobResult result =
+      run_pipeline_job(net, *handle->lib, handle->base_flow,
+                       handle->circuit_seed, request.specs);
+  out.body = std::make_shared<const std::string>(
+      Json(pipeline_body_object(result, trace)).dump());
   if (trace) trace->add("execute", mark, Clock::now());
   if (cache_) cache_->put(key, out.body);
   if (disk_) disk_->store(key, out.body);
@@ -692,10 +680,7 @@ Json::Object DesignRegistry::sweep(const SweepRequest& request) {
   spec.ladders = request.ladders;
   for (double v : request.vlow)
     spec.ladders.push_back({lib->supplies().top(), v});
-  spec.area_budgets = request.area_budgets;
-  spec.run_cvs = request.run_cvs;
-  spec.run_dscale = request.run_dscale;
-  spec.run_gscale = request.run_gscale;
+  spec.specs = request.specs;
 
   const std::function<Network(const Library&)> source =
       [&snapshot](const Library&) { return snapshot; };

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "core/sweep_matrix.hpp"
 #include "opt/option_schema.hpp"
 #include "opt/pipeline.hpp"
 
@@ -71,23 +72,42 @@ JobOptions parse_options(const Json& json) {
   return options;
 }
 
-void parse_algos(const Json& json, bool* cvs, bool* dscale, bool* gscale) {
-  *cvs = *dscale = *gscale = false;
+/// `algos`: paper algorithm names in any order, or "all", as the paper
+/// specs they name in table order — so every ordering is one job.
+std::vector<Json> parse_algos(const Json& json) {
+  const std::vector<Json>& paper = paper_specs();
+  std::vector<bool> enabled(paper.size(), false);
   for (const Json& algo : json.as_array()) {
     const std::string& name = algo.as_string();
-    if (name == "cvs")
-      *cvs = true;
-    else if (name == "dscale")
-      *dscale = true;
-    else if (name == "gscale")
-      *gscale = true;
-    else if (name == "all")
-      *cvs = *dscale = *gscale = true;
-    else
-      throw ProtocolError("unknown algorithm '" + name + "'");
+    bool known = false;
+    for (std::size_t i = 0; i < paper.size(); ++i) {
+      if (name == "all" || name == paper[i].as_string()) {
+        enabled[i] = true;
+        known = true;
+      }
+    }
+    if (!known) throw ProtocolError("unknown algorithm '" + name + "'");
   }
-  if (!*cvs && !*dscale && !*gscale)
-    throw ProtocolError("empty algorithm list");
+  std::vector<Json> specs;
+  for (std::size_t i = 0; i < paper.size(); ++i)
+    if (enabled[i]) specs.push_back(paper[i]);
+  if (specs.empty()) throw ProtocolError("empty algorithm list");
+  return specs;
+}
+
+/// The `algos` / `pipeline` pair of optimize, batch, and reoptimize
+/// (mutually exclusive) into `specs`, which keeps its default when
+/// neither is present.
+void parse_specs(const Json& json, const std::string& type,
+                 std::vector<Json>* specs) {
+  const Json* algos = json.find("algos");
+  if (algos) *specs = parse_algos(*algos);
+  if (const Json* pipeline = json.find("pipeline")) {
+    if (algos)
+      throw ProtocolError(type + " takes 'algos' or 'pipeline', not both");
+    Pipeline::from_spec(*pipeline);  // fail fast on bad specs
+    *specs = {*pipeline};
+  }
 }
 
 std::string parse_format(const Json& json) {
@@ -229,14 +249,7 @@ Request parse_request(const std::string& line) {
       throw ProtocolError(
           "optimize needs exactly one of 'circuit' or 'netlist'");
     if (const Json* v = json.find("format")) opt.format = parse_format(*v);
-    if (const Json* v = json.find("algos"))
-      parse_algos(*v, &opt.run_cvs, &opt.run_dscale, &opt.run_gscale);
-    if (const Json* v = json.find("pipeline")) {
-      if (json.find("algos") != nullptr)
-        throw ProtocolError("optimize takes 'algos' or 'pipeline', not both");
-      Pipeline::from_spec(*v);  // fail fast on bad specs
-      opt.pipeline = *v;
-    }
+    parse_specs(json, "optimize", &opt.specs);
     if (const Json* v = json.find("options")) opt.options = parse_options(*v);
     if (const Json* v = json.find("return_netlist"))
       opt.return_netlist = v->as_bool();
@@ -244,8 +257,7 @@ Request parse_request(const std::string& line) {
     if (const Json* v = json.find("deadline_ms"))
       opt.deadline_ms = parse_deadline_ms(*v);
     if (const Json* v = json.find("trace")) opt.trace = v->as_bool();
-    if (opt.return_netlist && opt.pipeline.is_null() &&
-        (opt.run_cvs + opt.run_dscale + opt.run_gscale) != 1)
+    if (opt.return_netlist && opt.specs.size() != 1)
       throw ProtocolError(
           "return_netlist requires exactly one algorithm");
     return request;
@@ -288,14 +300,7 @@ Request parse_request(const std::string& line) {
       throw ProtocolError("batch needs 'circuits' or 'all': true");
     if (!batch.circuits.empty() && batch.all)
       throw ProtocolError("batch takes 'circuits' or 'all', not both");
-    if (const Json* v = json.find("algos"))
-      parse_algos(*v, &batch.run_cvs, &batch.run_dscale, &batch.run_gscale);
-    if (const Json* v = json.find("pipeline")) {
-      if (json.find("algos") != nullptr)
-        throw ProtocolError("batch takes 'algos' or 'pipeline', not both");
-      Pipeline::from_spec(*v);  // fail fast on bad specs
-      batch.pipeline = *v;
-    }
+    parse_specs(json, "batch", &batch.specs);
     if (const Json* v = json.find("options"))
       batch.options = parse_options(*v);
     if (const Json* v = json.find("use_cache"))
@@ -355,18 +360,7 @@ Request parse_request(const std::string& line) {
         throw ProtocolError(
             "mode must be 'auto', 'incremental', or 'full'");
     }
-    if (const Json* v = json.find("algos")) {
-      reopt.has_algos = true;
-      parse_algos(*v, &reopt.run_cvs, &reopt.run_dscale,
-                  &reopt.run_gscale);
-    }
-    if (const Json* v = json.find("pipeline")) {
-      if (reopt.has_algos)
-        throw ProtocolError(
-            "reoptimize takes 'algos' or 'pipeline', not both");
-      Pipeline::from_spec(*v);  // fail fast on bad specs
-      reopt.pipeline = *v;
-    }
+    parse_specs(json, "reoptimize", &reopt.specs);
     if (const Json* v = json.find("use_cache"))
       reopt.use_cache = v->as_bool();
     if (const Json* v = json.find("trace")) reopt.trace = v->as_bool();
@@ -390,16 +384,24 @@ Request parse_request(const std::string& line) {
         if (vlow <= 0.0) throw ProtocolError("vlow must be positive");
         sweep.vlow.push_back(vlow);
       }
+    std::vector<double> budgets;
     if (const Json* v = json.find("area_budgets"))
       for (const Json& entry : v->as_array()) {
         const double budget = entry.as_double();
         if (budget < 0.0 || budget > 10.0)
           throw ProtocolError("area budget out of range");
-        sweep.area_budgets.push_back(budget);
+        budgets.push_back(budget);
       }
-    if (const Json* v = json.find("algos"))
-      parse_algos(*v, &sweep.run_cvs, &sweep.run_dscale,
-                  &sweep.run_gscale);
+    std::vector<Json> algos = paper_specs();
+    if (const Json* v = json.find("algos")) algos = parse_algos(*v);
+    for (const Json& spec : algos) {
+      if (spec.as_string() != "gscale" || budgets.empty()) {
+        sweep.specs.push_back(spec);
+        continue;
+      }
+      for (double budget : budgets)
+        sweep.specs.emplace_back(gscale_budget_spec(budget));
+    }
     return request;
   }
 
@@ -414,42 +416,16 @@ Request parse_request(const std::string& line) {
   throw ProtocolError("unknown request type '" + type + "'");
 }
 
-std::vector<JobCell> build_job_cells(const OptimizeRequest& request,
-                                     std::uint64_t circuit_seed) {
-  std::vector<JobCell> cells;
-  if (!request.pipeline.is_null()) {
-    Pipeline pipeline = Pipeline::from_spec(request.pipeline);
-    pipeline.resolve_seeds(circuit_seed);
-    JobCell cell;
-    cell.label = pipeline_label(pipeline);
-    cell.pipeline = std::move(pipeline);
-    cells.push_back(std::move(cell));
-    return cells;
-  }
-  // Legacy algos mode: one canonical paper pipeline per enabled
-  // algorithm, each from a fresh copy — the suite engine's matrix cell.
-  const FlowOptions base = request.options.to_flow_options();
-  const PaperAlgo algos[] = {PaperAlgo::kCvs, PaperAlgo::kDscale,
-                             PaperAlgo::kGscale};
-  const bool enabled[] = {request.run_cvs, request.run_dscale,
-                          request.run_gscale};
-  for (int i = 0; i < 3; ++i)
-    if (enabled[i])
-      cells.push_back(make_paper_cell(
-          algos[i], derive_cell_flow(base, circuit_seed, algos[i])));
-  return cells;
-}
-
 std::string canonical_job_json(const OptimizeRequest& request,
                                std::uint64_t circuit_seed,
                                const SupplyLadder& default_supplies) {
-  std::vector<JobCell> cells = build_job_cells(request, circuit_seed);
   Json::Object object;
   Json::Array cell_array;
-  for (const JobCell& cell : cells) {
+  for (const Json& spec : request.specs) {
+    const Pipeline pipeline = resolve_cell(spec, circuit_seed);
     Json::Object entry;
-    entry["label"] = Json(cell.label);
-    entry["passes"] = cell.pipeline.canonical_json();
+    entry["label"] = Json(pipeline_label(pipeline));
+    entry["passes"] = pipeline.canonical_json();
     cell_array.emplace_back(std::move(entry));
   }
   object["cells"] = Json(std::move(cell_array));
@@ -538,15 +514,10 @@ std::string optimize_request_json(const OptimizeRequest& request) {
   if (!request.circuit.empty()) object["circuit"] = Json(request.circuit);
   if (!request.netlist.empty()) object["netlist"] = Json(request.netlist);
   object["format"] = Json(request.format);
-  if (!request.pipeline.is_null()) {
-    object["pipeline"] = request.pipeline;
-  } else {
-    Json::Array algos;
-    if (request.run_cvs) algos.emplace_back("cvs");
-    if (request.run_dscale) algos.emplace_back("dscale");
-    if (request.run_gscale) algos.emplace_back("gscale");
-    object["algos"] = Json(std::move(algos));
-  }
+  if (request.specs.size() == 1)
+    object["pipeline"] = request.specs.front();
+  else
+    object["algos"] = Json(Json::Array(request.specs));
   Json::Object options;
   options["seed"] = Json(request.options.seed);
   options["freq_mhz"] = Json(request.options.freq_mhz);

@@ -104,14 +104,13 @@ struct OptimizeRequest {
   std::string circuit;
   std::string netlist;
   std::string format = "blif";  // input (and netlist-out) format
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
-  /// Registry pipeline spec (string grammar or JSON array; null =
-  /// legacy `algos` mode).  Kept as the client sent it — explicit-vs-
-  /// defaulted options matter for seed resolution — and compiled by
-  /// build_job_cells at execution time.
-  Json pipeline;
+  /// The job's cells, one pipeline spec each (string grammar or JSON
+  /// array), resolved per circuit by the cell engine (core/job.hpp).
+  /// `algos` parses into the paper specs it names, in table order (the
+  /// default is all three); `pipeline` into its single spec, kept as the
+  /// client sent it — explicit-vs-defaulted options matter for seed
+  /// resolution.
+  std::vector<Json> specs = paper_specs();
   JobOptions options;
   bool return_netlist = false;  // requires exactly one cell
   bool use_cache = true;
@@ -131,10 +130,7 @@ struct BatchRequest {
   std::vector<std::string> circuits;  // empty + all=true -> whole suite
   bool all = false;
   int max_gates = 0;  // 0 = no limit (applies to `all`)
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
-  Json pipeline;  // as in OptimizeRequest, applied to every item
+  std::vector<Json> specs = paper_specs();  // as in OptimizeRequest
   JobOptions options;
   bool use_cache = true;
   std::uint64_t deadline_ms = 0;  // per-item dequeue budget, as above
@@ -186,39 +182,35 @@ struct EditRequest {
 };
 
 /// `{"type":"reoptimize", ...}` — re-evaluate (or re-run a pipeline on)
-/// the design's current state.  Without `pipeline`/`algos` this is the
-/// ECO hot path: evaluate power/delay/area of the edited design, via
-/// the maintained incremental timer when every edit since the last
-/// evaluation was a point edit, falling back to a full recompile after
-/// structural edits.  With `pipeline`/`algos` the named passes re-run
-/// from scratch on the edited netlist (results are cached in the
-/// ResultCache under the design's current content fingerprint).
+/// the design's current state.  Without `pipeline`/`algos` (no specs)
+/// this is the ECO hot path: evaluate power/delay/area of the edited
+/// design, via the maintained incremental timer when every edit since
+/// the last evaluation was a point edit, falling back to a full
+/// recompile after structural edits.  With `pipeline`/`algos` the specs
+/// (parsed as in OptimizeRequest) re-run from scratch on the edited
+/// netlist (results are cached in the ResultCache under the design's
+/// current content fingerprint).
 struct ReoptimizeRequest {
   std::string design;
   std::string mode = "auto";  // "auto" | "incremental" | "full"
-  Json pipeline;
-  bool has_algos = false;
-  bool run_cvs = false;
-  bool run_dscale = false;
-  bool run_gscale = false;
+  std::vector<Json> specs;    // empty = evaluate
   bool use_cache = true;
   bool trace = false;
 };
 
-/// `{"type":"sweep", ...}` — the supply-ladder x area-budget x algorithm
-/// matrix over the design's current network, fanned out on the pool,
-/// answered as one reply carrying every cell plus the power/delay
-/// Pareto front (core/sweep_matrix.hpp).
+/// `{"type":"sweep", ...}` — the supply-ladder x spec matrix over the
+/// design's current network, fanned out on the pool, answered as one
+/// reply carrying every cell plus the power/delay Pareto front
+/// (core/sweep_matrix.hpp).
 struct SweepRequest {
   std::string design;
   /// Explicit ladders, and/or `vlow` sugar: each entry v becomes the
   /// two-rung ladder {design's top voltage, v}.
   std::vector<std::vector<double>> ladders;
   std::vector<double> vlow;
-  std::vector<double> area_budgets;
-  bool run_cvs = true;
-  bool run_dscale = true;
-  bool run_gscale = true;
+  /// `algos` (as in OptimizeRequest) with each gscale expanded into one
+  /// gscale(area_budget=b) spec per entry of `area_budgets`.
+  std::vector<Json> specs;
 };
 
 struct CloseDesignRequest {
@@ -241,20 +233,14 @@ struct Request {
 /// Parses one NDJSON line.  Throws ProtocolError / JsonError.
 Request parse_request(const std::string& line);
 
-/// Compiles the request into its ordered pipeline cells: the canonical
-/// paper pipelines for legacy `algos` requests, or the spec'd registry
-/// pipeline with stochastic knobs resolved from the derived circuit
-/// seed.  One code path feeds both the cache key and the execution, so
-/// a request can never run something its key does not describe.
-std::vector<JobCell> build_job_cells(const OptimizeRequest& request,
-                                     std::uint64_t circuit_seed);
-
-/// Canonical job document for the cache key: the fully-resolved
-/// pipeline cells (every pass, every option, derived seeds included),
-/// the derived circuit seed, and every knob that changes the result
-/// body.  Because the cells are canonicalized through the OptionSchema,
-/// `{"algos":["dscale","cvs"]}`, `{"algos":["cvs","dscale"]}`, and the
-/// equivalent pipeline spellings hash identically.  The input format is
+/// Canonical job document for the cache key: the request's cells as
+/// resolve_cell builds them for execution (every pass, every option,
+/// derived seeds included), the derived circuit seed, and every knob
+/// that changes the result body — so a request can never run something
+/// its key does not describe.  Because the cells are canonicalized
+/// through the OptionSchema, `{"algos":["dscale","cvs"]}`,
+/// `{"algos":["cvs","dscale"]}`, and the equivalent pipeline spellings
+/// hash identically.  The input format is
 /// deliberately excluded unless the response embeds a netlist — a
 /// circuit means the same thing as BLIF or as Verilog.
 /// `default_supplies` is the daemon library's ladder, substituted when
@@ -307,9 +293,10 @@ std::string finish_response_with_body(Json::Object head,
 
 /// Re-serializes an optimize request into a line that parse_request
 /// accepts and that resolves to the same job (same canonical document,
-/// same cache key).  Transport-only fields (deadline_ms, trace, id) are
-/// deliberately dropped: the deadline was already spent at the
-/// scheduler's queue, and tracing is observed scheduler-side.
+/// same cache key): one spec travels as `pipeline`, several (which only
+/// `algos` produces) as `algos`.  Transport-only fields (deadline_ms,
+/// trace, id) are deliberately dropped: the deadline was already spent
+/// at the scheduler's queue, and tracing is observed scheduler-side.
 std::string optimize_request_json(const OptimizeRequest& request);
 
 std::string fleet_job_line(std::uint64_t lease,

@@ -12,9 +12,10 @@
 //   - `batch` fans its circuits across the pool and streams each row
 //     back the moment it completes (out-of-order by design — items
 //     carry `index`).
-// Determinism: every job derives its seeds through the suite engine's
-// (seed, circuit, algorithm) mixing, so a daemon answer is bit-identical
-// to the same cell of a serial suite_bench run — cached or not.
+// Determinism: every job runs its cells through the cell engine
+// (core/job.hpp) with the suite's circuit seeds, so a daemon answer is
+// bit-identical to the same cell of a serial suite_bench run — cached or
+// not.
 #pragma once
 
 #include <atomic>

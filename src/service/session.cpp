@@ -11,7 +11,6 @@
 #include "benchgen/mcnc.hpp"
 #include "core/boundary.hpp"
 #include "core/job.hpp"
-#include "core/suite.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/stats.hpp"
 #include "netlist/verilog.hpp"
@@ -209,29 +208,15 @@ ResolvedJob resolve(ServiceCore& core, const OptimizeRequest& request) {
   return job;
 }
 
-/// Final power/delay/area of one optimized design.
-Json metrics_json(const Design& design) {
-  Json::Object metrics;
-  metrics["power_uw"] = Json(design.run_power().total());
-  metrics["arrival_ns"] = Json(design.run_timing().worst_arrival);
-  metrics["area_um2"] = Json(design.total_area());
-  return Json(std::move(metrics));
-}
-
-/// Runs the job's pipeline cells and assembles the response body object.
+/// Runs the job's cells and assembles the response body object.
 std::string compute_body(const OptimizeRequest& request, ResolvedJob& job,
                          RequestTrace* trace) {
   const Library& lib = job.library();
-  const Network& circuit = job.network();
-  // Shared columns (tspec, original power) run off the derived circuit
-  // seed; per-cell seeds (Gscale's ablation cut selector) are resolved
-  // inside build_job_cells, matching the suite engine's derivation.
-  const FlowOptions base = derive_cell_flow(
-      request.options.to_flow_options(), job.circuit_seed, PaperAlgo::kCvs);
-  PipelineJobResult result;
-  Json::Object body = pipeline_body_object(
-      circuit, lib, base, build_job_cells(request, job.circuit_seed), trace,
-      &result);
+  const PipelineJobResult result = run_pipeline_job(
+      job.network(), lib, request.options.to_flow_options(),
+      job.circuit_seed, request.specs,
+      /*capture_designs=*/request.return_netlist);
+  Json::Object body = pipeline_body_object(result, trace);
 
   if (request.return_netlist) {
     // Exactly one cell ran (protocol invariant): its final Design is
@@ -253,15 +238,8 @@ std::string compute_body(const OptimizeRequest& request, ResolvedJob& job,
 
 }  // namespace
 
-Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
-                                  const FlowOptions& base_flow,
-                                  std::vector<JobCell> cells,
-                                  RequestTrace* trace,
-                                  PipelineJobResult* result_out) {
-  PipelineJobResult result =
-      run_pipeline_job(mapped, lib, base_flow, std::move(cells),
-                       /*capture_designs=*/true);
-
+Json::Object pipeline_body_object(const PipelineJobResult& result,
+                                  RequestTrace* trace) {
   if (trace) {
     // Depth-1 detail spans inside the execute phase: one per executed
     // pass, named after its cell so hybrid pipelines stay readable.
@@ -284,7 +262,13 @@ Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
   Json::Object metrics;
   Json::Array trajectory;
   for (const JobCellResult& cell : result.cells) {
-    metrics[cell.label] = metrics_json(*cell.design);
+    // The final power/delay/area: the trajectory's last point.
+    const PassStats& last = cell.run.passes.back();
+    Json::Object final_point;
+    final_point["power_uw"] = Json(last.power_uw);
+    final_point["arrival_ns"] = Json(last.arrival_ns);
+    final_point["area_um2"] = Json(last.area_um2);
+    metrics[cell.label] = Json(std::move(final_point));
     Json::Object entry;
     entry["label"] = Json(cell.label);
     entry["spec"] = Json(cell.spec);
@@ -297,7 +281,6 @@ Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
   }
   body["metrics"] = Json(std::move(metrics));
   body["trajectory"] = Json(std::move(trajectory));
-  if (result_out) *result_out = std::move(result);
   return body;
 }
 
@@ -705,10 +688,10 @@ void Session::handle_design(
   }
 
   if (request.type == RequestType::kSweep) {
-    // Orchestrated inline: the matrix cells fan out on the pool while
-    // this session thread blocks on their futures — never a pool
-    // worker, so even a single-threaded pool cannot deadlock on its
-    // own sweep.
+    // Orchestrated inline: the grid's cells fan out on the pool while
+    // this session thread waits in parallel_for for those cells only —
+    // never a pool worker, so even a single-threaded pool cannot
+    // deadlock on its own sweep.
     core_->metrics.inflight_jobs->add(1);
     Json::Object fields;
     try {
@@ -819,10 +802,7 @@ void Session::handle_batch(const Request& request) {
   const auto submit_item = [&](std::size_t i) {
     OptimizeRequest item;
     item.circuit = names[i];
-    item.run_cvs = batch.run_cvs;
-    item.run_dscale = batch.run_dscale;
-    item.run_gscale = batch.run_gscale;
-    item.pipeline = batch.pipeline;
+    item.specs = batch.specs;
     item.options = batch.options;
     item.use_cache = batch.use_cache;
     core_->metrics.inflight_jobs->add(1);

@@ -70,18 +70,13 @@ OptimizeOutcome execute_optimize(ServiceCore& core,
                                  RequestTrace* trace = nullptr,
                                  bool allow_remote = true);
 
-/// Runs the pipeline cells on `mapped` and assembles the shared
-/// result-body object (report / metrics / trajectory) — the one body
-/// layout behind optimize responses, batch items, fleet jobs, and
-/// design-session pipeline reoptimizes.  With a non-null `trace`,
-/// appends the depth-1 per-pass spans.  `result_out` (optional)
-/// receives the executed cells, final Designs included, for callers
-/// that need more than the body (netlist export).
-Json::Object pipeline_body_object(const Network& mapped, const Library& lib,
-                                  const FlowOptions& base_flow,
-                                  std::vector<JobCell> cells,
-                                  RequestTrace* trace,
-                                  PipelineJobResult* result_out = nullptr);
+/// Assembles the shared result-body object (report / metrics /
+/// trajectory) from a job's executed cells — the one body layout behind
+/// optimize responses, batch items, fleet jobs, and design-session
+/// pipeline reoptimizes.  With a non-null `trace`, appends the depth-1
+/// per-pass spans.
+Json::Object pipeline_body_object(const PipelineJobResult& result,
+                                  RequestTrace* trace);
 
 class Session {
  public:

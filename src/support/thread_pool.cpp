@@ -1,6 +1,9 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 
 #include "support/contracts.hpp"
 
@@ -110,19 +113,42 @@ ThreadPoolStats ThreadPool::stats() const {
 }
 
 void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
+  // Same deadlock as wait_idle: the caller's own iterations could be
+  // queued behind it.
+  DVS_EXPECTS(tls_worker_index == -1);
   if (n <= 0) return;
-  // One claimed index per grab keeps load balanced under wildly uneven
-  // per-iteration cost (the benchmark matrix spans 3 orders of magnitude).
-  auto counter = std::make_shared<std::atomic<int>>(0);
+  // This call's own bookkeeping, so it waits for its iterations only —
+  // never for unrelated tasks sharing the pool.  One claimed index per
+  // grab keeps load balanced under wildly uneven per-iteration cost (the
+  // benchmark matrix spans 3 orders of magnitude).
+  struct Loop {
+    std::atomic<int> next{0};
+    std::mutex mutex;
+    std::condition_variable done;
+    int finished = 0;           // guarded by mutex
+    std::exception_ptr error;  // guarded by mutex: the first failure
+  };
+  auto loop = std::make_shared<Loop>();
   const int spawn = std::min(n, num_threads());
   for (int t = 0; t < spawn; ++t) {
-    submit([counter, n, &fn] {
-      for (int i = counter->fetch_add(1); i < n;
-           i = counter->fetch_add(1))
-        fn(i);
+    submit([loop, n, &fn] {
+      for (int i = loop->next.fetch_add(1); i < n;
+           i = loop->next.fetch_add(1)) {
+        std::exception_ptr error;
+        try {
+          fn(i);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(loop->mutex);
+        if (error && !loop->error) loop->error = error;
+        if (++loop->finished == n) loop->done.notify_all();
+      }
     });
   }
-  wait_idle();
+  std::unique_lock<std::mutex> lock(loop->mutex);
+  loop->done.wait(lock, [&] { return loop->finished == n; });
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 }  // namespace dvs

@@ -58,8 +58,12 @@ class ThreadPool {
   /// running tasks) has finished.
   void wait_idle();
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and waits.  Iterations
-  /// are claimed dynamically, one at a time, so uneven task sizes balance.
+  /// Runs `fn(i)` for i in [0, n) across the pool and waits for those n
+  /// iterations only — other tasks on the pool (a daemon's unrelated
+  /// jobs) may still be running when it returns.  Iterations are claimed
+  /// dynamically, one at a time, so uneven task sizes balance.  The first
+  /// exception an iteration throws is rethrown here once every iteration
+  /// has finished.  Must not be called from a pool worker.
   void parallel_for(int n, const std::function<void(int)>& fn);
 
  private:

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/sweep_matrix.hpp"
 #include "library/library.hpp"
 #include "service/design_session.hpp"
 #include "service/protocol.hpp"
@@ -392,7 +393,8 @@ TEST(EcoSessionTest, SweepGridShapeAndPareto) {
   SweepRequest request;
   request.design = "grid";
   request.vlow = {4.3, 3.7};
-  request.area_budgets = {0.05, 0.10};
+  request.specs = {"cvs", "dscale", gscale_budget_spec(0.05),
+                   gscale_budget_spec(0.10)};
   const Json::Object reply = registry.sweep(request);
   // 2 ladders x (cvs + dscale + gscale x 2 budgets) = 8 cells.
   EXPECT_EQ(8u, reply.at("count").as_uint());

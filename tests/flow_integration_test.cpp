@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/mcnc.hpp"
-#include "core/flow.hpp"
+#include "core/job.hpp"
 #include "core/report.hpp"
 #include "netlist/blif.hpp"
 #include "synth/mapper.hpp"
@@ -21,7 +21,9 @@ class FlowTest : public ::testing::Test {
     Network net = build_mcnc_circuit(lib_, *d);
     FlowOptions options;
     options.activity.num_vectors = 1024;  // keep the test quick
-    return run_paper_flow(net, lib_, options);
+    return run_pipeline_job(net, lib_, options, options.activity.seed,
+                            paper_specs())
+        .row;
   }
 };
 
@@ -93,7 +95,9 @@ TEST_F(FlowTest, BlifMapDualVddPipeline) {
   FlowOptions options;
   options.activity.num_vectors = 512;
   const CircuitRunResult row =
-      run_paper_flow(setup.mapped, lib_, options);
+      run_pipeline_job(setup.mapped, lib_, options, options.activity.seed,
+                       paper_specs())
+          .row;
   EXPECT_GT(row.org_power_uw, 0.0);
   EXPECT_GE(row.gscale_improve_pct, -0.01);
 }

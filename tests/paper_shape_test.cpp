@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/mcnc.hpp"
-#include "core/flow.hpp"
+#include "core/job.hpp"
 #include "netlist/blif.hpp"
 #include "sim/bitsim.hpp"
 #include "support/rng.hpp"
@@ -23,7 +23,9 @@ class PaperShapeTest : public ::testing::Test {
         Network net = build_mcnc_circuit(lib, d);
         FlowOptions options;
         options.activity.num_vectors = 2048;
-        out.push_back(run_paper_flow(net, lib, options));
+        out.push_back(run_pipeline_job(net, lib, options,
+                                       options.activity.seed, paper_specs())
+                          .row);
       }
       return out;
     }();

@@ -83,17 +83,5 @@ TEST(SuiteTest, JsonIsWellFormedAndCarriesEveryCircuit) {
   EXPECT_EQ(brackets, 0);
 }
 
-TEST(SuiteTest, AlgorithmMaskSkipsDisabledColumns) {
-  SuiteOptions options = small_suite(2);
-  options.circuits = {"b9"};
-  options.run_dscale = false;
-  options.run_gscale = false;
-  const SuiteReport report = run_suite(options);
-  ASSERT_EQ(report.rows.size(), 1u);
-  EXPECT_GT(report.rows[0].cvs_low, 0);
-  EXPECT_EQ(report.rows[0].dscale_low, 0);
-  EXPECT_EQ(report.rows[0].gscale_low, 0);
-}
-
 }  // namespace
 }  // namespace dvs

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -41,6 +44,38 @@ TEST(ThreadPoolTest, ParallelForBalancesUnevenWork) {
     total.fetch_add(local == -1 ? 0 : 1);
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnIterations) {
+  // A daemon shares its pool between unrelated jobs: a parallel_for must
+  // return once its own iterations are done, even while another task
+  // on the same pool is still blocked.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.submit([gate] { gate.wait(); });
+  std::atomic<int> sum{0};
+  std::future<void> loop = std::async(std::launch::async, [&] {
+    pool.parallel_for(100, [&](int i) { sum.fetch_add(i); });
+  });
+  const bool returned =
+      loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();  // unblock the pool either way, so the test ends
+  loop.get();
+  EXPECT_TRUE(returned) << "parallel_for waited for an unrelated task";
+  EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsAfterEveryIteration) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for(50,
+                                 [&](int i) {
+                                   ran.fetch_add(1);
+                                   if (i == 7) throw std::runtime_error("7");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 50);
 }
 
 TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {
