@@ -239,6 +239,7 @@ void BM_IncrementalFlip(benchmark::State& state) {
     timer.on_node_changed(victim);
     benchmark::DoNotOptimize(timer.result().worst_arrival);
   }
+  state.SetLabel(net.name());
   state.counters["gates"] = net.num_gates();
 }
 BENCHMARK(BM_IncrementalFlip)->DenseRange(0, 5);

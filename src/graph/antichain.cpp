@@ -27,6 +27,11 @@ AntichainResult max_weight_antichain(const AntichainProblem& problem,
   const int base = net.add_vertices(2 * n);
   auto v_in = [&](int v) { return base + 2 * v; };
   auto v_out = [&](int v) { return base + 2 * v + 1; };
+  const auto weighted = std::count_if(problem.weight.begin(),
+                                      problem.weight.end(),
+                                      [](double w) { return w > 0.0; });
+  net.reserve_arcs(static_cast<std::size_t>(n + 2 * weighted) +
+                   problem.edges.size());
 
   double total_weight = 0.0;
   for (int v = 0; v < n; ++v) {

@@ -2,7 +2,8 @@
 // default max-flow engine (the paper's complexity discussion assumes
 // Goldberg-Tarjan-class performance; Dinic is near-linear on the shallow,
 // unit-ish networks our reductions produce).
-#include <queue>
+#include <algorithm>
+#include <span>
 
 #include "graph/flow_network.hpp"
 #include "support/contracts.hpp"
@@ -14,12 +15,17 @@ namespace {
 class Dinic {
  public:
   Dinic(FlowNetwork& net, int source, int sink)
-      : net_(net), source_(source), sink_(sink) {}
+      : net_(net),
+        source_(source),
+        sink_(sink),
+        level_(net.num_vertices()),
+        iter_(net.num_vertices()),
+        queue_(net.num_vertices()) {}
 
   double run() {
     double total = 0.0;
     while (build_levels()) {
-      iter_.assign(net_.num_vertices(), 0);
+      std::fill(iter_.begin(), iter_.end(), 0);
       for (;;) {
         const double pushed = push(source_, kFlowInf);
         if (pushed <= kFlowEps) break;
@@ -31,17 +37,18 @@ class Dinic {
 
  private:
   bool build_levels() {
-    level_.assign(net_.num_vertices(), -1);
-    std::queue<int> queue;
+    std::fill(level_.begin(), level_.end(), -1);
+    // Every vertex enters the BFS queue at most once: a flat array with
+    // a read cursor is the whole queue.
+    int head = 0, tail = 0;
     level_[source_] = 0;
-    queue.push(source_);
-    while (!queue.empty()) {
-      const int v = queue.front();
-      queue.pop();
+    queue_[tail++] = source_;
+    while (head < tail) {
+      const int v = queue_[head++];
       for (const FlowNetwork::Arc& arc : net_.arcs_of(v)) {
         if (arc.cap > kFlowEps && level_[arc.to] < 0) {
           level_[arc.to] = level_[v] + 1;
-          queue.push(arc.to);
+          queue_[tail++] = arc.to;
         }
       }
     }
@@ -50,9 +57,9 @@ class Dinic {
 
   double push(int v, double limit) {
     if (v == sink_) return limit;
-    for (int& i = iter_[v]; i < static_cast<int>(net_.arcs_of(v).size());
-         ++i) {
-      FlowNetwork::Arc& arc = net_.arcs_of(v)[i];
+    const std::span<FlowNetwork::Arc> arcs = net_.arcs_of(v);
+    for (int& i = iter_[v]; i < static_cast<int>(arcs.size()); ++i) {
+      FlowNetwork::Arc& arc = arcs[i];
       if (arc.cap <= kFlowEps || level_[arc.to] != level_[v] + 1) continue;
       const double pushed = push(arc.to, std::min(limit, arc.cap));
       if (pushed > kFlowEps) {
@@ -69,6 +76,7 @@ class Dinic {
   int sink_;
   std::vector<int> level_;
   std::vector<int> iter_;
+  std::vector<int> queue_;
 };
 
 }  // namespace

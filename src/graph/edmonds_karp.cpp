@@ -2,7 +2,8 @@
 // the paper cites ([2], CLR chapter 27) for min_weight_separator; we keep
 // it as an alternative backend and cross-check it against Dinic in the
 // tests and benchmarks.
-#include <queue>
+#include <algorithm>
+#include <span>
 
 #include "graph/flow_network.hpp"
 #include "support/contracts.hpp"
@@ -16,17 +17,18 @@ double edmonds_karp_max_flow(FlowNetwork& net, int source, int sink) {
   // prev_arc[v] = (vertex, arc index) used to reach v in the BFS tree.
   std::vector<std::pair<int, int>> prev(n);
   std::vector<char> seen(n);
+  // BFS queue: each vertex is queued at most once per search.
+  std::vector<int> queue(n);
 
   for (;;) {
     std::fill(seen.begin(), seen.end(), 0);
-    std::queue<int> queue;
-    queue.push(source);
+    int head = 0, tail = 0;
+    queue[tail++] = source;
     seen[source] = 1;
     bool found = false;
-    while (!queue.empty() && !found) {
-      const int v = queue.front();
-      queue.pop();
-      const auto& arcs = net.arcs_of(v);
+    while (head < tail && !found) {
+      const int v = queue[head++];
+      const std::span<const FlowNetwork::Arc> arcs = net.arcs_of(v);
       for (int i = 0; i < static_cast<int>(arcs.size()); ++i) {
         const FlowNetwork::Arc& arc = arcs[i];
         if (arc.cap <= kFlowEps || seen[arc.to]) continue;
@@ -36,7 +38,7 @@ double edmonds_karp_max_flow(FlowNetwork& net, int source, int sink) {
           found = true;
           break;
         }
-        queue.push(arc.to);
+        queue[tail++] = arc.to;
       }
     }
     if (!found) break;

@@ -19,6 +19,8 @@ SeparatorResult min_weight_separator(const SeparatorProblem& problem,
   const int base = net.add_vertices(2 * n);
   auto v_in = [&](int v) { return base + 2 * v; };
   auto v_out = [&](int v) { return base + 2 * v + 1; };
+  net.reserve_arcs(static_cast<std::size_t>(n) + problem.edges.size() +
+                   problem.sources.size() + problem.sinks.size());
 
   for (int v = 0; v < n; ++v)
     net.add_arc(v_in(v), v_out(v), problem.weight[v]);
@@ -47,13 +49,20 @@ SeparatorResult min_weight_separator(const SeparatorProblem& problem,
 
 bool is_separator(const SeparatorProblem& problem,
                   const std::vector<int>& cut) {
-  std::vector<char> removed(problem.num_nodes, 0);
+  const int n = problem.num_nodes;
+  std::vector<char> removed(n, 0);
   for (int v : cut) removed[v] = 1;
-  std::vector<std::vector<int>> adj(problem.num_nodes);
-  for (const auto& [u, v] : problem.edges) adj[u].push_back(v);
+  // Successor lists as one CSR array (counting sort on the tail node).
+  std::vector<int> offset(n + 1, 0);
+  for (const auto& [u, v] : problem.edges) ++offset[u + 1];
+  for (int v = 0; v < n; ++v) offset[v + 1] += offset[v];
+  std::vector<int> succ(problem.edges.size());
+  std::vector<int> next(offset.begin(), offset.end() - 1);
+  for (const auto& [u, v] : problem.edges) succ[next[u]++] = v;
 
-  std::vector<char> seen(problem.num_nodes, 0);
+  std::vector<char> seen(n, 0);
   std::vector<int> stack;
+  stack.reserve(n);
   for (int src : problem.sources) {
     if (!removed[src] && !seen[src]) {
       seen[src] = 1;
@@ -63,7 +72,8 @@ bool is_separator(const SeparatorProblem& problem,
   while (!stack.empty()) {
     const int v = stack.back();
     stack.pop_back();
-    for (int w : adj[v]) {
+    for (int k = offset[v]; k < offset[v + 1]; ++k) {
+      const int w = succ[k];
       if (!removed[w] && !seen[w]) {
         seen[w] = 1;
         stack.push_back(w);

@@ -33,10 +33,13 @@ void corrupt_body(std::string* body) {
   c = c == '9' ? '0' : static_cast<char>(c + 1);
 }
 
-/// Decrements a counter on every exit path of handle_job.
+/// Decrements a counter on every exit path of handle_job.  The release
+/// pairs with stop()'s acquire load: once stop() reads zero, every
+/// access the job made to the agent happens-before the agent's
+/// destruction.
 struct InflightGuard {
   std::atomic<int>* counter;
-  ~InflightGuard() { counter->fetch_sub(1, std::memory_order_relaxed); }
+  ~InflightGuard() { counter->fetch_sub(1, std::memory_order_release); }
 };
 
 }  // namespace
@@ -74,7 +77,7 @@ void WorkerAgent::stop() {
   // In-flight leased jobs still hold the channel; let them finish (a
   // stalled fault sleep exits early on the stop flag) so the caller can
   // tear the core down safely.
-  while (inflight_.load() > 0)
+  while (inflight_.load(std::memory_order_acquire) > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 

@@ -1,7 +1,8 @@
 #include "timing/incremental.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <set>
+#include <functional>
 
 #include "support/contracts.hpp"
 #include "timing/arc_eval.hpp"
@@ -55,6 +56,12 @@ void IncrementalSta::full_recompute() {
   }
   result_ = analyze_full();
   port_arrival_moved_ = false;
+  // A node sits on the worklist at most once, so the live count bounds
+  // the heap.
+  const std::size_t live = graph_->topo_order().size();
+  queued_.assign(live, 0);
+  heap_.clear();
+  heap_.reserve(live);
 }
 
 bool IncrementalSta::recompute_load(NodeId id) {
@@ -207,13 +214,31 @@ void IncrementalSta::on_node_changed(NodeId id) {
   // Absorb a possible cell change before touching arcs or caps.
   g.sync_node(id);
   const std::vector<int>& ranks = g.topo_ranks();
+  const std::vector<NodeId>& order = g.topo_order();
   DelayFactorCache df(ctx_.lib->voltage_model(), ctx_.lib->supplies());
+
+  // The worklist pops the extreme rank first: lowest for the arrival
+  // sweep (std::greater makes a min-heap), highest for the required one.
+  auto push = [&](auto before, NodeId v) {
+    const int rank = ranks[v];
+    if (queued_[rank]) return;
+    queued_[rank] = 1;
+    heap_.push_back(rank);
+    std::push_heap(heap_.begin(), heap_.end(), before);
+  };
+  auto pop = [&](auto before) {
+    std::pop_heap(heap_.begin(), heap_.end(), before);
+    const int rank = heap_.back();
+    heap_.pop_back();
+    queued_[rank] = 0;
+    return order[rank];
+  };
+  auto seed_forward = [&](NodeId v) { push(std::greater<int>(), v); };
+  auto seed_required = [&](NodeId v) { push(std::less<int>(), v); };
 
   // Loads that can move: the node's own (LC split, port/pin mix) and its
   // fanins' (the node's pin caps change with its cell; its supply decides
   // which fanin arcs run through a converter).
-  std::set<std::pair<int, NodeId>> forward;
-  auto seed_forward = [&](NodeId v) { forward.emplace(ranks[v], v); };
   recompute_load(id);
   seed_forward(id);
   for (NodeId fi : g.fanins(id)) {
@@ -222,13 +247,8 @@ void IncrementalSta::on_node_changed(NodeId id) {
   }
 
   // Arrival sweep in topological order; a change fans out.
-  std::set<std::pair<int, NodeId>> required_seeds;
-  auto seed_required = [&](NodeId v) {
-    required_seeds.emplace(-ranks[v], v);
-  };
-  while (!forward.empty()) {
-    const NodeId v = forward.begin()->second;
-    forward.erase(forward.begin());
+  while (!heap_.empty()) {
+    const NodeId v = pop(std::greater<int>());
     if (recompute_arrival(v, df))
       for (NodeId fo : g.unique_fanouts(v)) seed_forward(fo);
   }
@@ -241,9 +261,8 @@ void IncrementalSta::on_node_changed(NodeId id) {
     seed_required(fi);
     for (NodeId gfi : g.fanins(fi)) seed_required(gfi);
   }
-  while (!required_seeds.empty()) {
-    const NodeId v = required_seeds.begin()->second;
-    required_seeds.erase(required_seeds.begin());
+  while (!heap_.empty()) {
+    const NodeId v = pop(std::less<int>());
     if (recompute_required(v, df))
       for (NodeId fi : g.fanins(v)) seed_required(fi);
   }

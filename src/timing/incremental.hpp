@@ -68,6 +68,14 @@ class IncrementalSta {
   /// Set by recompute_arrival when any output-port driver's arrival
   /// changed bitwise since the last refresh_worst_arrival.
   bool port_arrival_moved_ = false;
+  /// Worklist: a binary heap of topological ranks plus a queued mark per
+  /// rank.  The arrival sweep runs it as a min-heap, then the required
+  /// sweep as a max-heap (each sweep drains it before the next starts).
+  /// Ranks are unique per live node, so pops follow topological order
+  /// exactly.  Sized once per compiled graph in full_recompute(), so
+  /// updates never allocate.
+  std::vector<int> heap_;
+  std::vector<char> queued_;
 };
 
 }  // namespace dvs

@@ -641,10 +641,14 @@ TEST_F(ServiceTest, DeadlineExpiresInQueue) {
 TEST_F(ServiceTest, GracefulStopDrainsInFlightBatch) {
   // SIGTERM-shaped stop: request_stop() + stop() while a batch is mid
   // flight.  The drain must let the session finish and answer every item
-  // (plus batch_done) before the socket closes.
+  // (plus batch_done) before the socket closes.  Each item simulates
+  // far more vectors than the default, so the batch stays in flight long
+  // enough for the stats poll below to see it there, however fast the
+  // optimization passes run.
   Client client(port());
   client.send(
-      R"({"type":"batch","circuits":["x2","z4ml","pm1"],"id":"drain"})");
+      R"({"type":"batch","circuits":["x2","z4ml","pm1"],)"
+      R"("options":{"vectors":1048576},"id":"drain"})");
   await_stats([](const Json& stats) {
     return stats.find("pool")->find("inflight")->as_uint() >= 1;
   });
