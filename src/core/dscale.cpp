@@ -8,7 +8,7 @@
 #include "support/units.hpp"
 #include "timing/graph.hpp"
 #include "timing/incremental.hpp"
-#include "timing/loads.hpp"
+#include "timing/kernel.hpp"
 
 namespace dvs {
 
@@ -129,7 +129,7 @@ LoweringEffect evaluate_lowering(const Design& design, const TimingGraph& graph,
     }
   }
   for (int k = 0; k < graph.port_fanout_count(id); ++k) {
-    direct_pins += 25.0;  // keep in sync with TimingContext default
+    direct_pins += timing_detail::kOutputPortLoad;
     ++direct_count;
   }
   const bool needs_lc = lc_count > 0;

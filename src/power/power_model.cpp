@@ -14,9 +14,13 @@ PowerBreakdown compute_power(const PowerContext& ctx) {
   DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
   DVS_EXPECTS(static_cast<int>(ctx.alpha01.size()) >= n);
 
-  LoadContext lctx{ctx.net, ctx.lib, ctx.node_vdd, ctx.lc_on_output,
-                   ctx.output_port_load, ctx.graph};
-  const NodeLoads loads = compute_loads(lctx);
+  TimingContext tctx;
+  tctx.net = ctx.net;
+  tctx.lib = ctx.lib;
+  tctx.node_vdd = ctx.node_vdd;
+  tctx.lc_on_output = ctx.lc_on_output;
+  tctx.graph = ctx.graph;
+  const NodeLoads loads = compute_loads(tctx);
 
   PowerBreakdown p;
   p.node_power.assign(n, 0.0);

@@ -23,7 +23,6 @@ struct PowerContext {
   std::span<const char> lc_on_output;
   std::span<const double> alpha01;  // per node, from activity estimation
   double freq_mhz = 20.0;           // the paper's 20 MHz random simulation
-  double output_port_load = 25.0;   // fF, kept consistent with the STA
   /// Optional compiled graph for the load computation's flat fast path.
   const TimingGraph* graph = nullptr;
 };

@@ -1,23 +1,21 @@
 #include "timing/cpn.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "support/contracts.hpp"
-#include "timing/arc_eval.hpp"
-#include "timing/graph.hpp"
+#include "timing/kernel.hpp"
 
 namespace dvs {
-
-namespace {
-constexpr double kVoltEps = 1e-6;
-}
 
 CriticalPathNetwork extract_cpn(const TimingContext& ctx,
                                 const StaResult& sta,
                                 const std::vector<NodeId>& tcb,
                                 double window) {
   const Network& net = *ctx.net;
-  const Library& lib = *ctx.lib;
+  std::unique_ptr<const TimingGraph> own;
+  timing_detail::NodeRules rules(ctx, timing_detail::current_graph(ctx, own));
+  const TimingGraph& g = rules.graph();
   CriticalPathNetwork cpn;
   std::vector<char> member(net.size(), 0);
   std::vector<char> is_sink(net.size(), 0);
@@ -32,49 +30,27 @@ CriticalPathNetwork extract_cpn(const TimingContext& ctx,
     }
   }
 
-  auto has_lc = [&](NodeId id) {
-    return !ctx.lc_on_output.empty() && ctx.lc_on_output[id] != 0;
-  };
-
-  // The compiled graph (when current) supplies flat fanin spans and
-  // pre-resolved arcs; stale or absent graphs fall back to the library.
-  const TimingGraph* graph =
-      ctx.graph && ctx.graph->describes(net, lib) ? ctx.graph : nullptr;
-  if (graph) graph->sync_cells();
-  timing_detail::DelayFactorCache delay_factor(lib.voltage_model());
-
   while (!worklist.empty()) {
     const NodeId vid = worklist.back();
     worklist.pop_back();
     const Node& v = net.node(vid);
     if (!v.is_gate() || v.cell < 0) continue;
-    const Cell& cell = lib.cell(v.cell);
-    const std::span<const TimingArc> arcs =
-        graph ? graph->arcs(vid) : std::span<const TimingArc>(cell.arcs);
-    const double vf = delay_factor(ctx.node_vdd[vid]);
+    const std::span<const NodeId> fi = g.fanins(vid);
+    const std::span<const TimingArc> arcs = g.arcs(vid);
+    const double vf = rules.factor(ctx.node_vdd[vid]);
     const double target = sta.arrival[vid].max();
-    for (std::size_t pin = 0; pin < v.fanins.size(); ++pin) {
-      const NodeId uid = v.fanins[pin];
-      const bool through_lc =
-          has_lc(uid) && ctx.node_vdd[vid] > ctx.node_vdd[uid] + kVoltEps;
-      const RiseFall& in =
-          through_lc ? sta.lc_arrival[uid] : sta.arrival[uid];
-      const RiseFall d =
-          timing_detail::ArcView{arcs[pin], vf, sta.load[vid]}.delay();
-      // Worst contribution of this pin to the output arrival, respecting
-      // the arc sense the same way the STA does.
-      double contribution;
-      switch (arcs[pin].sense) {
-        case ArcSense::kPositiveUnate:
-          contribution = std::max(in.rise + d.rise, in.fall + d.fall);
-          break;
-        case ArcSense::kNegativeUnate:
-          contribution = std::max(in.fall + d.rise, in.rise + d.fall);
-          break;
-        default:
-          contribution = std::max(in.rise, in.fall) + std::max(d.rise,
-                                                               d.fall);
-      }
+    for (std::size_t pin = 0; pin < fi.size(); ++pin) {
+      const NodeId uid = fi[pin];
+      const RiseFall& in = rules.through_converter(uid, vid)
+                               ? sta.lc_arrival[uid]
+                               : sta.arrival[uid];
+      // Worst contribution of this pin to the output arrival: the
+      // arrival rule's candidate for the pin, worse edge.
+      const double contribution =
+          timing_detail::propagate(
+              in, arcs[pin],
+              timing_detail::ArcView{arcs[pin], vf, sta.load[vid]}.delay())
+              .max();
       if (contribution + window < target) continue;  // non-critical arc
       const Node& u = net.node(uid);
       if (!u.is_gate()) continue;  // path entry from a PI or constant

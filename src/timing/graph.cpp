@@ -1,12 +1,11 @@
 #include "timing/graph.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <memory>
 
 #include "netlist/topo.hpp"
 #include "support/contracts.hpp"
-#include "timing/arc_eval.hpp"
-#include "timing/loads.hpp"
+#include "timing/kernel.hpp"
 
 namespace dvs {
 
@@ -39,13 +38,6 @@ void TimingGraph::compile() {
   topo_rank_.assign(n, 0);
   for (std::size_t i = 0; i < topo_order_.size(); ++i)
     topo_rank_[topo_order_[i]] = static_cast<int>(i);
-  level_.assign(n, -1);
-  for (NodeId id : topo_order_) {
-    int lv = 0;
-    for (NodeId f : net.node(id).fanins)
-      lv = std::max(lv, level_[f] + 1);
-    level_[id] = lv;
-  }
 
   gate_flag_.assign(n, 0);
   port_count_.assign(n, 0);
@@ -79,35 +71,23 @@ void TimingGraph::compile() {
   uniq_offset_.assign(n + 1, 0);
   entry_.clear();
   entry_cap_.clear();
-  entry_group_.clear();
   uniq_.clear();
-  group_begin_.clear();
-  group_cap_sum_.clear();
   for (int u = 0; u < n; ++u) {
     if (net.is_valid(u)) {
       const Node& driver = net.node(u);
       for_each_unique_fanout(driver, [&](NodeId vid) {
         const Node& sink = net.node(vid);
-        const std::int32_t group =
-            static_cast<std::int32_t>(uniq_.size());
         uniq_.push_back(vid);
-        group_begin_.push_back(static_cast<std::int32_t>(entry_.size()));
-        double cap_sum = 0.0;
         for (std::size_t pin = 0; pin < sink.fanins.size(); ++pin) {
           if (sink.fanins[pin] != u) continue;
-          const double cap = pin_cap_of(lib, sink, static_cast<int>(pin));
           entry_.push_back({vid, static_cast<std::int32_t>(pin)});
-          entry_cap_.push_back(cap);
-          entry_group_.push_back(group);
-          cap_sum += cap;
+          entry_cap_.push_back(pin_cap_of(lib, sink, static_cast<int>(pin)));
         }
-        group_cap_sum_.push_back(cap_sum);
       });
     }
     entry_offset_[u + 1] = static_cast<std::int32_t>(entry_.size());
     uniq_offset_[u + 1] = static_cast<std::int32_t>(uniq_.size());
   }
-  group_begin_.push_back(static_cast<std::int32_t>(entry_.size()));
 
   // Cross-link: pin k of sink v is exactly one entry on its driver's list.
   fanin_entry_.assign(fanin_.size(), -1);
@@ -123,13 +103,8 @@ void TimingGraph::patch_cell(NodeId id) const {
   const std::int32_t base = fanin_offset_[id];
   for (std::size_t pin = 0; pin < node.fanins.size(); ++pin) {
     arc_[base + pin] = arc_of(*lib_, node, static_cast<int>(pin));
-    const std::int32_t e = fanin_entry_[base + pin];
-    entry_cap_[e] = pin_cap_of(*lib_, node, static_cast<int>(pin));
-    const std::int32_t g = entry_group_[e];
-    double cap_sum = 0.0;
-    for (std::int32_t k = group_begin_[g]; k < group_begin_[g + 1]; ++k)
-      cap_sum += entry_cap_[k];
-    group_cap_sum_[g] = cap_sum;
+    entry_cap_[fanin_entry_[base + pin]] =
+        pin_cap_of(*lib_, node, static_cast<int>(pin));
   }
 }
 
@@ -143,18 +118,42 @@ void TimingGraph::sync_cells() const {
     if (cell_[id] != net_->node(id).cell) patch_cell(id);
 }
 
+namespace timing_detail {
+
+const TimingGraph& current_graph(const TimingContext& ctx,
+                                 std::unique_ptr<const TimingGraph>& own,
+                                 bool* compiled) {
+  DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
+  const Network& net = *ctx.net;
+  const Library& lib = *ctx.lib;
+  bool fresh = false;
+  const TimingGraph* g = ctx.graph;
+  if (g == nullptr || !g->describes(net, lib)) {
+    if (!own || !own->describes(net, lib)) {
+      own = std::make_unique<const TimingGraph>(net, lib);
+      fresh = true;
+    }
+    g = own.get();
+  }
+  if (compiled != nullptr) *compiled = fresh;
+  if (!fresh) g->sync_cells();
+  return *g;
+}
+
+}  // namespace timing_detail
+
 // ===========================================================================
 // MultiLaneSta
 // ===========================================================================
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 using timing_detail::ArcView;
-using timing_detail::DelayFactorCache;
-using timing_detail::kVoltEps;
+using timing_detail::kInf;
+using timing_detail::LoadSplit;
+using timing_detail::NodeRules;
 using timing_detail::propagate;
+using timing_detail::through_converter;
 
 }  // namespace
 
@@ -209,23 +208,6 @@ void MultiLaneSta::set_cell(int lane, NodeId id, int cell) {
   lanes_[lane].push_back({id, 0, cell, 0, 1});
 }
 
-const TimingGraph& MultiLaneSta::resolve_graph() {
-  recompiled_ = false;
-  if (ctx_.graph != nullptr && ctx_.graph->describes(*ctx_.net, *ctx_.lib))
-    return *ctx_.graph;
-  if (fallback_ && fallback_->describes(*ctx_.net, *ctx_.lib))
-    return *fallback_;
-  // Structural edit since compile: all previously computed lane state is
-  // stale — drop it with the old graph and recompile.
-  lane_ar_.clear();
-  lane_af_.clear();
-  lane_lr_.clear();
-  lane_lf_.clear();
-  fallback_ = std::make_shared<const TimingGraph>(*ctx_.net, *ctx_.lib);
-  recompiled_ = true;
-  return *fallback_;
-}
-
 /// Marks every node any lane's overrides can influence directly: the
 /// overridden node itself (arcs / supply / LC flag / load split) plus its
 /// gate fanins (their pin caps toward it, their LC flags, their LC load
@@ -252,19 +234,20 @@ void MultiLaneSta::build_closure(const TimingGraph& g) {
 
 /// Per-(touched node, lane) effective state: rung/supply/cell from the
 /// lane's explicit overrides, LC flags re-derived with the lc_needed rule,
-/// and loads re-accumulated in compute_loads_presynced's exact per-node
-/// operation order with the lane's pin caps and LC split.
-void MultiLaneSta::fill_effective(const TimingGraph& g) {
+/// and loads from the kernel's load rule with the lane's pin caps and
+/// converter routing.
+void MultiLaneSta::fill_effective(const NodeRules& rules) {
+  const TimingGraph& g = rules.graph();
   const Library& lib = *ctx_.lib;
   const int nl = num_lanes();
   const int rows = static_cast<int>(touch_list_.size());
-  eff_vdd_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_level_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_cell_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_load_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_lc_load_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_lc_on_.resize(static_cast<std::size_t>(rows) * nl);
-  eff_lc_active_.resize(static_cast<std::size_t>(rows) * nl);
+  const std::size_t slots = static_cast<std::size_t>(rows) * nl;
+  eff_vdd_.resize(slots);
+  eff_level_.resize(slots);
+  eff_cell_.resize(slots);
+  eff_load_.resize(slots);
+  eff_lc_load_.resize(slots);
+  eff_lc_on_.resize(slots);
 
   const bool any_lc = !ctx_.lc_on_output.empty();
   const bool have_levels = !ctx_.node_level.empty();
@@ -276,10 +259,6 @@ void MultiLaneSta::fill_effective(const TimingGraph& g) {
       eff_level_[s] = have_levels ? ctx_.node_level[id] : kTopRung;
       eff_cell_[s] = kBaseCell;
       eff_lc_on_[s] = any_lc ? ctx_.lc_on_output[id] : 0;
-      eff_lc_active_[s] =
-          eff_lc_on_[s] && base_loads_.lc_fanout_pins[id] > 0;
-      eff_load_[s] = base_loads_.direct[id];
-      eff_lc_load_[s] = base_loads_.lc[id];
     }
   }
   for (int l = 0; l < nl; ++l)
@@ -327,113 +306,36 @@ void MultiLaneSta::fill_effective(const TimingGraph& g) {
     }
   }
 
-  // Loads, replicating compute_loads_presynced per node: split the entry
-  // caps in entry order, then the driven ports, then the LC input cap and
-  // the two wire loads.
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
   for (int r = 0; r < rows; ++r) {
     const NodeId u = touch_list_[r];
-    const auto pins = g.fanout_pins(u);
-    const auto caps = g.fanout_pin_caps(u);
+    const std::span<const TimingGraph::FanoutPin> pins = g.fanout_pins(u);
+    const std::span<const double> caps = g.fanout_pin_caps(u);
     for (int l = 0; l < nl; ++l) {
       const std::size_t s = static_cast<std::size_t>(r) * nl + l;
-      const bool u_has_lc = eff_lc_on_[s] != 0;
+      const bool u_lc = eff_lc_on_[s] != 0;
       const double u_vdd = eff_vdd_[s];
-      double direct = 0.0, lc = 0.0;
-      int dcount = 0, lcount = 0;
-      for (std::size_t e = 0; e < pins.size(); ++e) {
-        const NodeId sink = pins[e].sink;
-        double cap = caps[e];
-        const int sr = touch_row_[sink];
-        if (sr >= 0) {
-          const int c = eff_cell_[static_cast<std::size_t>(sr) * nl + l];
-          if (c != kBaseCell)
-            cap = c >= 0 ? lib.cell(c).input_cap[pins[e].pin]
-                         : timing_detail::kDefaultPinCap;
-        }
-        if (u_has_lc && eff_vdd_of(sink, l) > u_vdd + kVoltEps) {
-          lc += cap;
-          ++lcount;
-        } else {
-          direct += cap;
-          ++dcount;
-        }
-      }
-      for (int p = 0; p < g.port_fanout_count(u); ++p) {
-        direct += ctx_.output_port_load;
-        ++dcount;
-      }
-      if (lcount > 0) {
-        DVS_ASSERT(lc_cell != nullptr);
-        direct += lc_cell->input_cap[0];
-        ++dcount;
-        lc += lib.wire_load().wire_cap(lcount);
-      }
-      direct += lib.wire_load().wire_cap(dcount);
-      eff_load_[s] = direct;
-      eff_lc_load_[s] = lc;
-      eff_lc_active_[s] = u_has_lc && lcount > 0;
+      const LoadSplit split = rules.load(
+          u,
+          [&](std::size_t e) {
+            const int sr = touch_row_[pins[e].sink];
+            const int c =
+                sr < 0 ? kBaseCell
+                       : eff_cell_[static_cast<std::size_t>(sr) * nl + l];
+            if (c == kBaseCell) return caps[e];
+            return c >= 0 ? lib.cell(c).input_cap[pins[e].pin]
+                          : timing_detail::kDefaultPinCap;
+          },
+          [&](const TimingGraph::FanoutPin& p) {
+            return through_converter(u_lc, u_vdd, eff_vdd_of(p.sink, l));
+          });
+      eff_load_[s] = split.direct;
+      eff_lc_load_[s] = split.lc;
     }
   }
 }
 
-/// The committed state's forward sweep — operation-for-operation the
-/// forward half of run_sta_flat, so base arrivals (and with them every
-/// lane's below-dirty-rank reads) are bit-identical to run_sta.
-void MultiLaneSta::sweep_base(const TimingGraph& g) {
-  const Network& net = *ctx_.net;
-  const Library& lib = *ctx_.lib;
-  const int n = net.size();
-  DelayFactorCache delay_factor(lib.voltage_model(), lib.supplies());
-
-  const bool any_lc = !ctx_.lc_on_output.empty();
-  auto has_lc = [&](NodeId id) {
-    return any_lc && ctx_.lc_on_output[id] != 0;
-  };
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-
-  base_arr_.assign(n, RiseFall{});
-  base_lc_.assign(n, RiseFall{});
-  const std::vector<double>& load = base_loads_.direct;
-  const std::vector<int>& lc_count = base_loads_.lc_fanout_pins;
-  const double vdd_high = lib.vdd_high();
-  for (NodeId id : g.topo_order()) {
-    const std::span<const NodeId> fi = g.fanins(id);
-    RiseFall arr{0.0, 0.0};
-    if (g.is_gate(id) && !fi.empty()) {
-      arr = {-kInf, -kInf};
-      const double vf = delay_factor(ctx_.node_vdd[id]);
-      const std::span<const TimingArc> arcs = g.arcs(id);
-      const double ld = load[id];
-      for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-        const NodeId uid = fi[pin];
-        const TimingArc& arc = arcs[pin];
-        const RiseFall d = ArcView{arc, vf, ld}.delay();
-        const bool through_lc =
-            has_lc(uid) &&
-            ctx_.node_vdd[id] > ctx_.node_vdd[uid] + kVoltEps;
-        const RiseFall& in = through_lc ? base_lc_[uid] : base_arr_[uid];
-        const RiseFall cand = propagate(in, arc, d);
-        arr.rise = std::max(arr.rise, cand.rise);
-        arr.fall = std::max(arr.fall, cand.fall);
-      }
-    }
-    base_arr_[id] = arr;
-    if (has_lc(id) && lc_count[id] > 0) {
-      const double vf = delay_factor(vdd_high);
-      const RiseFall d =
-          ArcView{lc_cell->arcs[0], vf, base_loads_.lc[id]}.delay();
-      base_lc_[id] = propagate(arr, lc_cell->arcs[0], d);
-    }
-  }
-  base_worst_ = 0.0;
-  for (const OutputPort& port : net.outputs())
-    base_worst_ = std::max(base_worst_, base_arr_[port.driver].max());
-}
-
-void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
+void MultiLaneSta::sweep_lanes(NodeRules& rules) {
+  const TimingGraph& g = rules.graph();
   const Network& net = *ctx_.net;
   const Library& lib = *ctx_.lib;
   const int nl = num_lanes();
@@ -450,17 +352,6 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
   lane_lf_.assign(static_cast<std::size_t>(span) * nl, 0.0);
   lane_worst_.assign(nl, 0.0);
   if (nl == 0) return;
-
-  DelayFactorCache delay_factor(lib.voltage_model(), lib.supplies());
-  const bool any_lc = !ctx_.lc_on_output.empty();
-  auto has_lc = [&](NodeId id) {
-    return any_lc && ctx_.lc_on_output[id] != 0;
-  };
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-  const double vdd_high = lib.vdd_high();
-  const std::vector<double>& base_load = base_loads_.direct;
-  const std::vector<int>& base_lcc = base_loads_.lc_fanout_pins;
 
   auto lane_row = [&](std::vector<double>& v, NodeId id) -> double* {
     return v.data() + static_cast<std::size_t>(rank[id] - start_rank_) * nl;
@@ -480,11 +371,12 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
       for (int l = 0; l < nl; ++l) ar[l] = 0.0;
       for (int l = 0; l < nl; ++l) af[l] = 0.0;
     } else if (row < 0) {
-      // Fast path: the node itself is identical in all lanes — scalar
-      // supply factor, load and arcs; only the inputs vary by lane.
-      const double vf = delay_factor(ctx_.node_vdd[id]);
+      // Fast path: the node itself is identical in all lanes, so the
+      // arrival rule runs lane-wide — one scalar supply factor, load and
+      // delay per pin, max-folded over the lanes' inputs.
+      const double vf = rules.factor(ctx_.node_vdd[id]);
       const std::span<const TimingArc> arcs = g.arcs(id);
-      const double ld = base_load[id];
+      const double ld = base_.load[id];
       for (int l = 0; l < nl; ++l) ar[l] = -kInf;
       for (int l = 0; l < nl; ++l) af[l] = -kInf;
       for (std::size_t pin = 0; pin < fi.size(); ++pin) {
@@ -493,13 +385,11 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
         const RiseFall d = ArcView{arc, vf, ld}.delay();
         const int urow = touch_row_[uid];
         if (urow < 0) {
-          const bool through_lc =
-              has_lc(uid) &&
-              ctx_.node_vdd[id] > ctx_.node_vdd[uid] + kVoltEps;
+          const bool through_lc = rules.through_converter(uid, id);
           if (rank[uid] < start_rank_) {
             // Below the dirty rank every lane reads the base arrival.
             const RiseFall& in =
-                through_lc ? base_lc_[uid] : base_arr_[uid];
+                through_lc ? base_.lc_arrival[uid] : base_.arrival[uid];
             const RiseFall cand = propagate(in, arc, d);
             for (int l = 0; l < nl; ++l)
               ar[l] = std::max(ar[l], cand.rise);
@@ -540,9 +430,8 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
           // the through-LC routing is resolved lane by lane.
           for (int l = 0; l < nl; ++l) {
             const std::size_t us = static_cast<std::size_t>(urow) * nl + l;
-            const bool through_lc =
-                eff_lc_on_[us] != 0 &&
-                ctx_.node_vdd[id] > eff_vdd_[us] + kVoltEps;
+            const bool through_lc = through_converter(
+                eff_lc_on_[us] != 0, eff_vdd_[us], ctx_.node_vdd[id]);
             const RiseFall in =
                 through_lc
                     ? RiseFall{lane_row(lane_lr_, uid)[l],
@@ -556,14 +445,12 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
         }
       }
     } else {
-      // Slow path: the node carries overrides in some lane — evaluate
-      // each lane with its effective supply, cell, loads and flags,
-      // replicating run_sta_flat's per-node recipe exactly.
+      // Slow path: the node carries overrides in some lane — the arrival
+      // rule per lane, with that lane's supply, cell, load and inputs.
       const std::span<const TimingArc> base_arcs = g.arcs(id);
       for (int l = 0; l < nl; ++l) {
         const std::size_t s = static_cast<std::size_t>(row) * nl + l;
-        const double vf = delay_factor(eff_vdd_[s]);
-        const double ld = eff_load_[s];
+        const double vdd = eff_vdd_[s];
         const int c = eff_cell_[s];
         const TimingArc* arcs = base_arcs.data();
         if (c != kBaseCell) {
@@ -578,63 +465,48 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
             arcs = scratch_arcs_.data();
           }
         }
-        RiseFall arr{-kInf, -kInf};
-        for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-          const NodeId uid = fi[pin];
-          const TimingArc& arc = arcs[pin];
-          const RiseFall d = ArcView{arc, vf, ld}.delay();
-          const int urow = touch_row_[uid];
-          bool through_lc;
-          if (urow < 0) {
-            through_lc =
-                has_lc(uid) && eff_vdd_[s] > ctx_.node_vdd[uid] + kVoltEps;
-          } else {
-            const std::size_t us = static_cast<std::size_t>(urow) * nl + l;
-            through_lc =
-                eff_lc_on_[us] != 0 && eff_vdd_[s] > eff_vdd_[us] + kVoltEps;
-          }
-          RiseFall in;
-          if (rank[uid] < start_rank_) {
-            in = through_lc ? base_lc_[uid] : base_arr_[uid];
-          } else if (through_lc) {
-            in = {lane_row(lane_lr_, uid)[l], lane_row(lane_lf_, uid)[l]};
-          } else {
-            in = {lane_row(lane_ar_, uid)[l], lane_row(lane_af_, uid)[l]};
-          }
-          const RiseFall cand = propagate(in, arc, d);
-          arr.rise = std::max(arr.rise, cand.rise);
-          arr.fall = std::max(arr.fall, cand.fall);
-        }
+        const RiseFall arr = NodeRules::arrival(
+            arcs, fi.size(), rules.factor(vdd), eff_load_[s],
+            [&](std::size_t pin) -> RiseFall {
+              const NodeId uid = fi[pin];
+              const int urow = touch_row_[uid];
+              bool through_lc;
+              if (urow < 0) {
+                through_lc = through_converter(rules.has_lc(uid),
+                                               ctx_.node_vdd[uid], vdd);
+              } else {
+                const std::size_t us =
+                    static_cast<std::size_t>(urow) * nl + l;
+                through_lc = through_converter(eff_lc_on_[us] != 0,
+                                               eff_vdd_[us], vdd);
+              }
+              if (rank[uid] < start_rank_)
+                return through_lc ? base_.lc_arrival[uid] : base_.arrival[uid];
+              if (through_lc)
+                return {lane_row(lane_lr_, uid)[l], lane_row(lane_lf_, uid)[l]};
+              return {lane_row(lane_ar_, uid)[l], lane_row(lane_af_, uid)[l]};
+            });
         ar[l] = arr.rise;
         af[l] = arr.fall;
       }
     }
 
-    // Level-converter output arrivals.
+    // Level-converter output arrivals.  The lane block starts at zero,
+    // the rule's value for a node without a converter, so untouched
+    // nodes without one skip the lane loop.
     if (row < 0) {
-      if (has_lc(id) && base_lcc[id] > 0) {
-        const double vf = delay_factor(vdd_high);
-        const RiseFall d =
-            ArcView{lc_cell->arcs[0], vf, base_loads_.lc[id]}.delay();
-        for (int l = 0; l < nl; ++l) {
-          const RiseFall out =
-              propagate({ar[l], af[l]}, lc_cell->arcs[0], d);
-          lr[l] = out.rise;
-          lf[l] = out.fall;
-        }
+      const bool lc = rules.has_lc(id);
+      for (int l = 0; lc && l < nl; ++l) {
+        const RiseFall out =
+            rules.lc_arrival(lc, {ar[l], af[l]}, base_.lc_load[id]);
+        lr[l] = out.rise;
+        lf[l] = out.fall;
       }
     } else {
       for (int l = 0; l < nl; ++l) {
         const std::size_t s = static_cast<std::size_t>(row) * nl + l;
-        if (!eff_lc_active_[s]) {
-          lr[l] = 0.0;
-          lf[l] = 0.0;
-          continue;
-        }
-        const double vf = delay_factor(vdd_high);
-        const RiseFall d =
-            ArcView{lc_cell->arcs[0], vf, eff_lc_load_[s]}.delay();
-        const RiseFall out = propagate({ar[l], af[l]}, lc_cell->arcs[0], d);
+        const RiseFall out = rules.lc_arrival(
+            eff_lc_on_[s] != 0, {ar[l], af[l]}, eff_lc_load_[s]);
         lr[l] = out.rise;
         lf[l] = out.fall;
       }
@@ -644,7 +516,7 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
   for (const OutputPort& port : net.outputs()) {
     const NodeId d = port.driver;
     if (rank[d] < start_rank_) {
-      const double w = base_arr_[d].max();
+      const double w = base_.arrival[d].max();
       for (int l = 0; l < nl; ++l)
         lane_worst_[l] = std::max(lane_worst_[l], w);
     } else {
@@ -657,15 +529,12 @@ void MultiLaneSta::sweep_lanes(const TimingGraph& g) {
 }
 
 void MultiLaneSta::run() {
-  const TimingGraph& g = resolve_graph();
-  g.sync_cells();
-  LoadContext lctx{ctx_.net,  ctx_.lib, ctx_.node_vdd, ctx_.lc_on_output,
-                   ctx_.output_port_load, &g};
-  base_loads_ = timing_detail::compute_loads_presynced(lctx, g);
-  sweep_base(g);
-  build_closure(g);
-  fill_effective(g);
-  sweep_lanes(g);
+  graph_ = &timing_detail::current_graph(ctx_, fallback_, &recompiled_);
+  NodeRules rules(ctx_, *graph_);
+  timing_detail::walk_forward(rules, base_);
+  build_closure(*graph_);
+  fill_effective(rules);
+  sweep_lanes(rules);
   ran_lanes_ = num_lanes();
 }
 
@@ -676,13 +545,8 @@ double MultiLaneSta::worst_arrival(int lane) const {
 
 RiseFall MultiLaneSta::arrival(int lane, NodeId id) const {
   DVS_EXPECTS(lane >= 0 && lane < ran_lanes_);
-  const TimingGraph* g =
-      ctx_.graph != nullptr && ctx_.graph->describes(*ctx_.net, *ctx_.lib)
-          ? ctx_.graph
-          : fallback_.get();
-  DVS_EXPECTS(g != nullptr);
-  const int rank = g->topo_ranks()[id];
-  if (rank < start_rank_) return base_arr_[id];
+  const int rank = graph_->topo_ranks()[id];
+  if (rank < start_rank_) return base_.arrival[id];
   const std::size_t s =
       static_cast<std::size_t>(rank - start_rank_) * ran_lanes_ + lane;
   return {lane_ar_[s], lane_af_[s]};

@@ -1,8 +1,7 @@
 // Compiled flat timing graph: a one-shot compilation of a Network +
 // Library into an immutable CSR / struct-of-arrays form that the timing
-// hot loops (full STA, incremental STA, load computation, CPN extraction,
-// the Dscale candidate scan) walk instead of chasing pointers through AoS
-// Node objects.
+// kernel's rules (timing/kernel.hpp) and the Dscale candidate scan walk
+// instead of chasing pointers through AoS Node objects.
 //
 // What the compilation precomputes:
 //   - flat fanin adjacency (CSR) with one pre-resolved TimingArc per pin,
@@ -11,8 +10,8 @@
 //   - per-driver *unique*-fanout pin entries (sink, pin, pin-cap) laid out
 //     in the exact visit order of `for_each_unique_fanout` + ascending pin
 //     scan, so float accumulation over the entries is bit-identical to the
-//     seed walks, plus per-(driver,sink) group boundaries and pin-cap sums;
-//   - the cached topological order, per-node ranks and logic levels;
+//     seed walks;
+//   - the cached topological order and per-node ranks;
 //   - per-node output-port fanout counts and node-kind flags.
 //
 // Structure is immutable: the graph records the network's
@@ -36,10 +35,13 @@
 
 #include "library/library.hpp"
 #include "netlist/network.hpp"
-#include "timing/loads.hpp"
 #include "timing/sta.hpp"
 
 namespace dvs {
+
+namespace timing_detail {
+class NodeRules;
+}
 
 class TimingGraph {
  public:
@@ -70,9 +72,6 @@ class TimingGraph {
   const std::vector<NodeId>& topo_order() const { return topo_order_; }
   /// Topological rank per node id (dead slots hold 0).
   const std::vector<int>& topo_ranks() const { return topo_rank_; }
-  /// Logic level per node id (inputs 0, gates 1 + max fanin level; dead
-  /// slots hold -1); identical to logic_levels(net).
-  const std::vector<int>& levels() const { return level_; }
 
   // ---- flat structure ---------------------------------------------------
   bool is_gate(NodeId id) const { return gate_flag_[id] != 0; }
@@ -106,30 +105,13 @@ class TimingGraph {
     return {uniq_.data() + uniq_offset_[id],
             uniq_.data() + uniq_offset_[id + 1]};
   }
-  int num_unique_fanouts(NodeId id) const {
-    return uniq_offset_[id + 1] - uniq_offset_[id];
-  }
-  /// Entry range [begin, end) of the k-th unique fanout of `driver`
-  /// inside fanout_pins(driver)'s global index space.
-  std::pair<std::int32_t, std::int32_t> sink_entry_range(NodeId driver,
-                                                         int k) const {
-    const std::int32_t g = uniq_offset_[driver] + k;
-    return {group_begin_[g], group_begin_[g + 1]};
-  }
-  /// Sum of the pin caps `driver`'s k-th unique fanout charges it with.
-  /// Summed in pin order, so it equals the seed's per-sink accumulation;
-  /// folding these across sinks is NOT bit-identical to the per-pin fold
-  /// the analyses use — query-only.
-  double sink_cap_sum(NodeId driver, int k) const {
-    return group_cap_sum_[uniq_offset_[driver] + k];
-  }
 
   /// Number of primary-output ports this node drives.
   int port_fanout_count(NodeId id) const { return port_count_[id]; }
 
   // ---- point-change patching -------------------------------------------
   /// Refreshes everything derived from `id`'s mapped cell: its arcs and
-  /// the pin caps (and group sums) on each of its drivers' entry lists.
+  /// the pin caps on each of its drivers' entry lists.
   /// Call after Network::set_cell; full analyses self-heal via
   /// sync_cells().
   void sync_node(NodeId id) const;
@@ -147,7 +129,6 @@ class TimingGraph {
 
   std::vector<NodeId> topo_order_;
   std::vector<int> topo_rank_;
-  std::vector<int> level_;
   std::vector<char> gate_flag_;
   std::vector<int> port_count_;
 
@@ -159,17 +140,12 @@ class TimingGraph {
   mutable std::vector<TimingArc> arc_;
   std::vector<std::int32_t> fanin_entry_;
 
-  // Fanout entry CSR + unique-fanout grouping.  Groups tile the entry
-  // array: group g (global index, shared with uniq_) spans
-  // [group_begin_[g], group_begin_[g+1]).
+  // Fanout entry CSR + the distinct fanouts in visit order.
   std::vector<std::int32_t> entry_offset_;
   std::vector<FanoutPin> entry_;
   mutable std::vector<double> entry_cap_;
-  std::vector<std::int32_t> entry_group_;
   std::vector<std::int32_t> uniq_offset_;
   std::vector<NodeId> uniq_;
-  std::vector<std::int32_t> group_begin_;
-  mutable std::vector<double> group_cap_sum_;
 
   // Mapped-cell snapshot the arcs/caps were resolved against.
   mutable std::vector<std::int32_t> cell_;
@@ -189,23 +165,24 @@ class TimingGraph {
 ///
 /// Exactness: lane results are bit-identical to re-running the full
 /// single-assignment STA on a design carrying the lane's overrides —
-/// not approximately equal.  This holds because every per-lane value is
-/// produced by the same operation sequence run_sta_flat uses: delay
-/// factors come from the same pre-seeded DelayFactorCache, per-node
-/// loads replicate compute_loads_presynced's entry-order accumulation
-/// with the lane's effective pin caps and LC split, LC boundary flags are
-/// re-derived with the same `lc_needed` rule Design maintains, and the
-/// max-folds over pins and output ports are order-insensitive.  Nodes a
-/// lane does not influence are either skipped (below the start rank) or
-/// recomputed with operand-identical arithmetic, so they reproduce the
-/// base doubles byte-for-byte.
+/// not approximately equal.  Every per-lane value comes from the
+/// kernel's per-node rules (timing/kernel.hpp) that run_sta applies: the
+/// base sweep is run_sta's own forward half, per-lane loads call the
+/// load rule with the lane's pin caps and converter routing, touched
+/// nodes call the arrival and LC-arrival rules with the lane's supply,
+/// cell, load and inputs, LC boundary flags are re-derived with the same
+/// `lc_needed` rule Design maintains, and the max-folds over pins and
+/// output ports are order-insensitive.  Untouched nodes above the start
+/// rank run the arrival rule lane-wide — one scalar delay per pin, then
+/// a contiguous max-fold over the lanes — on the same operands, so they
+/// reproduce the base doubles byte-for-byte.
 ///
 /// The context's spans must stay alive and describe the committed state
 /// for the engine's lifetime; point cell edits in the underlying network
 /// are absorbed by the sync_cells() every run() performs.  A structural
 /// network edit invalidates the compiled graph: run() detects the
-/// `structural_version()` bump, discards all lane state, and recompiles a
-/// private fallback graph (observable via recompiled()).
+/// `structural_version()` bump and recompiles a private fallback graph
+/// (observable via recompiled()), rebuilding every lane array on it.
 class MultiLaneSta {
  public:
   /// `tspec` is the required time used by worst_slack(); pass the
@@ -232,7 +209,7 @@ class MultiLaneSta {
   double tspec() const { return tspec_; }
   /// Worst arrival of the committed (no-override) state, from the last
   /// run().
-  double base_worst_arrival() const { return base_worst_; }
+  double base_worst_arrival() const { return base_.worst_arrival; }
   double worst_arrival(int lane) const;
   double worst_slack(int lane) const { return tspec_ - worst_arrival(lane); }
   /// Arrival at `id`'s output in `lane`, from the last run().
@@ -249,25 +226,21 @@ class MultiLaneSta {
     char has_cell = 0;
   };
 
-  const TimingGraph& resolve_graph();
   void build_closure(const TimingGraph& g);
-  void fill_effective(const TimingGraph& g);
-  void sweep_base(const TimingGraph& g);
-  void sweep_lanes(const TimingGraph& g);
+  void fill_effective(const timing_detail::NodeRules& rules);
+  void sweep_lanes(timing_detail::NodeRules& rules);
 
   TimingContext ctx_;
   double tspec_ = 0.0;
-  std::shared_ptr<const TimingGraph> fallback_;
+  std::unique_ptr<const TimingGraph> fallback_;  // ctx_.graph went stale
+  const TimingGraph* graph_ = nullptr;  // resolved by the last run()
   bool recompiled_ = false;
 
   std::vector<std::vector<Override>> lanes_;
   std::vector<char> lane_has_level_;  // lane carries >=1 level override
 
   // ---- products of the last run() ---------------------------------------
-  NodeLoads base_loads_;
-  std::vector<RiseFall> base_arr_;
-  std::vector<RiseFall> base_lc_;
-  double base_worst_ = 0.0;
+  StaResult base_;  // forward half of the committed state's full walk
   int start_rank_ = 0;
   int ran_lanes_ = 0;
   // Lane block: node (by rank - start_rank_) major, lane minor.
@@ -282,8 +255,7 @@ class MultiLaneSta {
   std::vector<double> eff_vdd_, eff_load_, eff_lc_load_;
   std::vector<SupplyId> eff_level_;
   std::vector<int> eff_cell_;
-  std::vector<char> eff_lc_on_;      // lane LC flag (lc_needed)
-  std::vector<char> eff_lc_active_;  // flag && lane lc fanout pins > 0
+  std::vector<char> eff_lc_on_;  // lane LC flag (lc_needed)
   std::vector<TimingArc> scratch_arcs_;
 };
 

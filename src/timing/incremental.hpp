@@ -17,7 +17,7 @@
 namespace dvs {
 
 namespace timing_detail {
-class DelayFactorCache;
+class NodeRules;
 }
 
 class IncrementalSta {
@@ -25,7 +25,9 @@ class IncrementalSta {
   /// Captures the context (the spans must outlive this object) and runs a
   /// full analysis.  When `ctx.graph` carries a current compiled graph the
   /// engine shares it (worklists, ranks and adjacency all come from it);
-  /// otherwise it compiles a private one.
+  /// otherwise it compiles a private one.  Updates apply the same
+  /// per-node rules as the full walk (timing/kernel.hpp), driven from a
+  /// rank heap instead of a full sweep.
   IncrementalSta(const TimingContext& ctx, double tspec);
   ~IncrementalSta();
 
@@ -51,11 +53,11 @@ class IncrementalSta {
   /// `port_arrival_moved_` when a port driver's arrival changed at all
   /// (bitwise), which is the exact condition under which the cached
   /// worst_arrival could be stale.
-  bool recompute_arrival(NodeId id, timing_detail::DelayFactorCache& df);
+  bool recompute_arrival(timing_detail::NodeRules& rules, NodeId id);
   /// Recomputes required time of one node from its fanouts (pull).
-  bool recompute_required(NodeId id, timing_detail::DelayFactorCache& df);
-  /// Recomputes the direct/LC load of one node.  Returns true on change.
-  bool recompute_load(NodeId id);
+  bool recompute_required(timing_detail::NodeRules& rules, NodeId id);
+  /// Recomputes the direct/LC load of one node.
+  void recompute_load(const timing_detail::NodeRules& rules, NodeId id);
   void refresh_worst_arrival();
   /// Fresh full analysis over the engine's graph.
   StaResult analyze_full() const;
@@ -63,8 +65,8 @@ class IncrementalSta {
   TimingContext ctx_;
   double tspec_;
   StaResult result_;
-  const TimingGraph* graph_ = nullptr;
-  std::unique_ptr<TimingGraph> owned_graph_;  // when the caller gave none
+  const TimingGraph* graph_ = nullptr;  // resolved by full_recompute()
+  std::unique_ptr<const TimingGraph> own_graph_;  // ctx_.graph was stale
   /// Set by recompute_arrival when any output-port driver's arrival
   /// changed bitwise since the last refresh_worst_arrival.
   bool port_arrival_moved_ = false;

@@ -1,88 +1,36 @@
 #include "timing/loads.hpp"
 
+#include <memory>
+
 #include "support/contracts.hpp"
-#include "timing/graph.hpp"
-#include "timing/reference.hpp"
+#include "timing/kernel.hpp"
 
 namespace dvs {
 
-namespace {
-constexpr double kVoltEps = 1e-6;
-}  // namespace
+bool arc_through_lc(const TimingContext& ctx, NodeId driver, NodeId sink) {
+  const bool has_lc =
+      !ctx.lc_on_output.empty() && ctx.lc_on_output[driver] != 0;
+  return timing_detail::through_converter(has_lc, ctx.node_vdd[driver],
+                                          ctx.node_vdd[sink]);
+}
 
-namespace timing_detail {
-
-/// Flat walk over the compiled fanout pin entries: no per-visit fanout
-/// deduplication, no sink fanin rescans, no cell lookups.  Entry order is
-/// the seed's canonical visit order, so every accumulation below is
-/// bit-identical to compute_loads_reference.
-NodeLoads compute_loads_presynced(const LoadContext& ctx,
-                                  const TimingGraph& g) {
-  const Network& net = *ctx.net;
-  const Library& lib = *ctx.lib;
-  const int n = net.size();
-  DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
-
+NodeLoads compute_loads(const TimingContext& ctx) {
+  DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
+  std::unique_ptr<const TimingGraph> own;
+  const timing_detail::NodeRules rules(
+      ctx, timing_detail::current_graph(ctx, own));
+  const int n = ctx.net->size();
   NodeLoads loads;
   loads.direct.assign(n, 0.0);
   loads.lc.assign(n, 0.0);
   loads.lc_fanout_pins.assign(n, 0);
-  std::vector<int> direct_count(n, 0);
-
-  const bool any_lc = !ctx.lc_on_output.empty();
-  for (NodeId u : g.topo_order()) {
-    const auto pins = g.fanout_pins(u);
-    const auto caps = g.fanout_pin_caps(u);
-    const bool u_has_lc = any_lc && ctx.lc_on_output[u] != 0;
-    const double u_vdd = ctx.node_vdd[u];
-    double direct = 0.0, lc = 0.0;
-    int dcount = 0, lcount = 0;
-    for (std::size_t e = 0; e < pins.size(); ++e) {
-      if (u_has_lc && ctx.node_vdd[pins[e].sink] > u_vdd + kVoltEps) {
-        lc += caps[e];
-        ++lcount;
-      } else {
-        direct += caps[e];
-        ++dcount;
-      }
-    }
-    loads.direct[u] = direct;
-    loads.lc[u] = lc;
-    loads.lc_fanout_pins[u] = lcount;
-    direct_count[u] = dcount;
-  }
-  for (const OutputPort& port : net.outputs()) {
-    loads.direct[port.driver] += ctx.output_port_load;
-    ++direct_count[port.driver];
-  }
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-  for (NodeId u : g.topo_order()) {
-    if (loads.lc_fanout_pins[u] > 0) {
-      DVS_ASSERT(lc_cell != nullptr);
-      loads.direct[u] += lc_cell->input_cap[0];
-      ++direct_count[u];
-      loads.lc[u] += lib.wire_load().wire_cap(loads.lc_fanout_pins[u]);
-    }
-    loads.direct[u] += lib.wire_load().wire_cap(direct_count[u]);
+  for (NodeId u : rules.graph().topo_order()) {
+    const timing_detail::LoadSplit split = rules.load(u);
+    loads.direct[u] = split.direct;
+    loads.lc[u] = split.lc;
+    loads.lc_fanout_pins[u] = split.lc_pins;
   }
   return loads;
-}
-
-}  // namespace timing_detail
-
-bool arc_through_lc(const LoadContext& ctx, NodeId driver, NodeId sink) {
-  if (ctx.lc_on_output.empty() || !ctx.lc_on_output[driver]) return false;
-  return ctx.node_vdd[sink] > ctx.node_vdd[driver] + kVoltEps;
-}
-
-NodeLoads compute_loads(const LoadContext& ctx) {
-  DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
-  if (ctx.graph && ctx.graph->describes(*ctx.net, *ctx.lib)) {
-    ctx.graph->sync_cells();
-    return timing_detail::compute_loads_presynced(ctx, *ctx.graph);
-  }
-  return compute_loads_reference(ctx);
 }
 
 }  // namespace dvs

@@ -5,22 +5,9 @@
 
 #include <vector>
 
-#include "library/library.hpp"
-#include "netlist/network.hpp"
+#include "timing/sta.hpp"
 
 namespace dvs {
-
-class TimingGraph;
-
-struct LoadContext {
-  const Network* net = nullptr;
-  const Library* lib = nullptr;
-  std::span<const double> node_vdd;
-  std::span<const char> lc_on_output;
-  double output_port_load = 25.0;
-  /// Optional compiled graph; drives the flat fast path when current.
-  const TimingGraph* graph = nullptr;
-};
 
 struct NodeLoads {
   std::vector<double> direct;  // fF seen by the node's own output stage
@@ -28,18 +15,11 @@ struct NodeLoads {
   std::vector<int> lc_fanout_pins;  // #fanout pins rerouted through the LC
 };
 
-NodeLoads compute_loads(const LoadContext& ctx);
+/// The kernel's load rule over every live node of `ctx`.
+NodeLoads compute_loads(const TimingContext& ctx);
 
 /// True iff the fanout arc driver->sink crosses upward in voltage and the
 /// driver has an LC (i.e. the arc runs through the converter).
-bool arc_through_lc(const LoadContext& ctx, NodeId driver, NodeId sink);
-
-namespace timing_detail {
-/// Flat-path load computation over a current compiled graph whose cell
-/// snapshot the caller has already synced (the full STA syncs once for
-/// both its load and propagation passes).
-NodeLoads compute_loads_presynced(const LoadContext& ctx,
-                                  const TimingGraph& graph);
-}  // namespace timing_detail
+bool arc_through_lc(const TimingContext& ctx, NodeId driver, NodeId sink);
 
 }  // namespace dvs

@@ -1,147 +1,64 @@
 #include "timing/sta.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
 
 #include "support/contracts.hpp"
-#include "timing/arc_eval.hpp"
 #include "timing/graph.hpp"
-#include "timing/loads.hpp"
+#include "timing/kernel.hpp"
 
 namespace dvs {
 
-namespace {
+namespace timing_detail {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-using timing_detail::ArcView;
-using timing_detail::back_propagate;
-using timing_detail::DelayFactorCache;
-using timing_detail::kVoltEps;
-using timing_detail::propagate;
-
-/// Full analysis over the compiled graph: one levelized sweep per
-/// direction over flat CSR spans, pre-resolved arcs, no per-node fanout
-/// deduplication and no library lookups inside the loops.  Numerically
-/// bit-identical to run_sta_reference (tests/timing_graph_test.cpp holds
-/// it to that).
-StaResult run_sta_flat(const TimingContext& ctx, const TimingGraph& g,
-                       double tspec) {
-  const Network& net = *ctx.net;
+NodeRules::NodeRules(const TimingContext& ctx, const TimingGraph& g)
+    : g_(&g),
+      lib_(ctx.lib),
+      vdd_(ctx.node_vdd),
+      lc_on_(ctx.lc_on_output),
+      factor_(ctx.lib->voltage_model(), ctx.lib->supplies()) {
+  const int n = g.network().size();
+  DVS_EXPECTS(static_cast<int>(vdd_.size()) >= n);
+  DVS_EXPECTS(lc_on_.empty() || static_cast<int>(lc_on_.size()) >= n);
   const Library& lib = *ctx.lib;
+  if (lib.level_converter() >= 0) {
+    const Cell& lc = lib.cell(lib.level_converter());
+    lc_arc_ = &lc.arcs[0];
+    lc_cap_ = lc.input_cap[0];
+  }
+  lc_factor_ = factor_(lib.vdd_high());
+}
+
+void walk_forward(NodeRules& rules, StaResult& r) {
+  const TimingGraph& g = rules.graph();
+  const Network& net = g.network();
   const int n = net.size();
-  DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
-  DVS_EXPECTS(ctx.lc_on_output.empty() ||
-              static_cast<int>(ctx.lc_on_output.size()) >= n);
-  g.sync_cells();
-  DelayFactorCache delay_factor(lib.voltage_model(), lib.supplies());
-
-  const bool any_lc = !ctx.lc_on_output.empty();
-  auto has_lc = [&](NodeId id) {
-    return any_lc && ctx.lc_on_output[id] != 0;
-  };
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-
-  StaResult r;
+  r.load.assign(n, 0.0);
+  r.lc_load.assign(n, 0.0);
   r.arrival.assign(n, RiseFall{});
   r.lc_arrival.assign(n, RiseFall{});
-  r.required.assign(n, RiseFall{kInf, kInf});
-  r.slack.assign(n, kInf);
-
-  LoadContext lctx{ctx.net, ctx.lib, ctx.node_vdd, ctx.lc_on_output,
-                   ctx.output_port_load, &g};
-  NodeLoads loads = timing_detail::compute_loads_presynced(lctx, g);
-  r.load = std::move(loads.direct);
-  r.lc_load = std::move(loads.lc);
-  const std::vector<int>& lc_count = loads.lc_fanout_pins;
-
-  // ---- forward arrival propagation ---------------------------------------
-  const std::vector<NodeId>& order = g.topo_order();
-  const double vdd_high = lib.vdd_high();
-  for (NodeId id : order) {
-    const std::span<const NodeId> fi = g.fanins(id);
-    RiseFall arr{0.0, 0.0};
-    if (g.is_gate(id) && !fi.empty()) {
-      arr = {-kInf, -kInf};
-      const double vf = delay_factor(ctx.node_vdd[id]);
-      const std::span<const TimingArc> arcs = g.arcs(id);
-      const double load = r.load[id];
-      for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-        const NodeId uid = fi[pin];
-        const TimingArc& arc = arcs[pin];
-        const RiseFall d = ArcView{arc, vf, load}.delay();
-        const bool through_lc =
-            has_lc(uid) && ctx.node_vdd[id] > ctx.node_vdd[uid] + kVoltEps;
-        const RiseFall& in =
-            through_lc ? r.lc_arrival[uid] : r.arrival[uid];
-        const RiseFall cand = propagate(in, arc, d);
-        arr.rise = std::max(arr.rise, cand.rise);
-        arr.fall = std::max(arr.fall, cand.fall);
-      }
-    }
-    r.arrival[id] = arr;
-    if (has_lc(id) && lc_count[id] > 0) {
-      const double vf = delay_factor(vdd_high);
-      const RiseFall d =
-          ArcView{lc_cell->arcs[0], vf, r.lc_load[id]}.delay();
-      r.lc_arrival[id] = propagate(arr, lc_cell->arcs[0], d);
-    }
+  // A node's arrival reads only its own load, so one rank-ordered pass
+  // settles both.
+  for (NodeId id : g.topo_order()) {
+    const LoadSplit split = rules.load(id);
+    r.load[id] = split.direct;
+    r.lc_load[id] = split.lc;
+    r.arrival[id] = rules.arrival(id, r);
+    r.lc_arrival[id] =
+        rules.lc_arrival(rules.has_lc(id), r.arrival[id], split.lc);
   }
-
   r.worst_arrival = 0.0;
   for (const OutputPort& port : net.outputs())
     r.worst_arrival = std::max(r.worst_arrival, r.arrival[port.driver].max());
-  r.tspec = tspec < 0.0 ? r.worst_arrival : tspec;
-
-  // ---- backward required propagation -------------------------------------
-  for (const OutputPort& port : net.outputs()) {
-    RiseFall& req = r.required[port.driver];
-    req.rise = std::min(req.rise, r.tspec);
-    req.fall = std::min(req.fall, r.tspec);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId vid = *it;
-    if (!g.is_gate(vid)) continue;
-    const std::span<const NodeId> fi = g.fanins(vid);
-    const std::span<const TimingArc> arcs = g.arcs(vid);
-    const double vf = delay_factor(ctx.node_vdd[vid]);
-    const double load = r.load[vid];
-    for (std::size_t pin = 0; pin < fi.size(); ++pin) {
-      const NodeId uid = fi[pin];
-      const TimingArc& arc = arcs[pin];
-      const RiseFall d = ArcView{arc, vf, load}.delay();
-      RiseFall pin_req = back_propagate(r.required[vid], arc, d);
-      const bool through_lc =
-          has_lc(uid) && ctx.node_vdd[vid] > ctx.node_vdd[uid] + kVoltEps;
-      if (through_lc) {
-        const double lcvf = delay_factor(vdd_high);
-        const RiseFall lcd =
-            ArcView{lc_cell->arcs[0], lcvf, r.lc_load[uid]}.delay();
-        pin_req = back_propagate(pin_req, lc_cell->arcs[0], lcd);
-      }
-      RiseFall& req = r.required[uid];
-      req.rise = std::min(req.rise, pin_req.rise);
-      req.fall = std::min(req.fall, pin_req.fall);
-    }
-  }
-
-  // ---- slack ------------------------------------------------------------
-  for (NodeId id : order) {
-    const RiseFall& a = r.arrival[id];
-    const RiseFall& q = r.required[id];
-    r.slack[id] = std::min(q.rise - a.rise, q.fall - a.fall);
-  }
-  return r;
 }
 
-}  // namespace
+}  // namespace timing_detail
 
 RiseFall arc_delay(const Library& lib, const Cell& cell, int pin, double vdd,
                    double load_ff) {
   DVS_EXPECTS(pin >= 0 && pin < cell.num_inputs());
   const double vf = lib.voltage_model().delay_factor(vdd);
-  return ArcView{cell.arcs[pin], vf, load_ff}.delay();
+  return timing_detail::ArcView{cell.arcs[pin], vf, load_ff}.delay();
 }
 
 double worst_delay_increase(const Library& lib, const Cell& cell,
@@ -166,10 +83,23 @@ double worst_delay_increase(double factor_from, double factor_to,
 
 StaResult run_sta(const TimingContext& ctx, double tspec) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
-  if (ctx.graph && ctx.graph->describes(*ctx.net, *ctx.lib))
-    return run_sta_flat(ctx, *ctx.graph, tspec);
-  const TimingGraph local(*ctx.net, *ctx.lib);
-  return run_sta_flat(ctx, local, tspec);
+  std::unique_ptr<const TimingGraph> own;
+  timing_detail::NodeRules rules(ctx, timing_detail::current_graph(ctx, own));
+  StaResult r;
+  timing_detail::walk_forward(rules, r);
+  r.tspec = tspec < 0.0 ? r.worst_arrival : tspec;
+
+  // Backward in rank order: every fanout of a node is settled before the
+  // node pulls from it.
+  const int n = ctx.net->size();
+  r.required.assign(n, RiseFall{timing_detail::kInf, timing_detail::kInf});
+  r.slack.assign(n, timing_detail::kInf);
+  const std::vector<NodeId>& order = rules.graph().topo_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    r.required[*it] = rules.required(*it, r);
+    r.slack[*it] = timing_detail::slack(r.arrival[*it], r.required[*it]);
+  }
+  return r;
 }
 
 StaResult run_sta(const Network& net, const Library& lib, double tspec) {

@@ -41,11 +41,9 @@ struct TimingContext {
   /// True when a level converter sits on this node's output, carrying its
   /// arcs into higher-voltage fanouts.
   std::span<const char> lc_on_output;
-  /// Capacitive load charged to each driven primary-output port (fF).
-  double output_port_load = 25.0;
   /// Compiled flat view of `net` (timing/graph.hpp).  When present and
-  /// current it carries the hot loops; when absent or stale the analysis
-  /// compiles a throwaway graph, so results never depend on freshness.
+  /// current every analysis walks it; when absent or stale the analysis
+  /// compiles a private graph, so results never depend on freshness.
   const TimingGraph* graph = nullptr;
   /// Keeps `graph` alive for consumers that retain the context past the
   /// provider's next recompile (IncrementalSta stores its context; the

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "support/contracts.hpp"
-#include "timing/arc_eval.hpp"
 
 namespace dvs {
 
@@ -19,29 +18,7 @@ SupplyId rung_at(const TimingContext& ctx, NodeId id) {
   return static_cast<SupplyId>(rung);
 }
 
-/// Could `id` drop one rung within its own slack?  `factor` is the
-/// ladder's per-rung delay-factor table (hoisted by the sweep).
-bool can_deepen_one_rung(const std::vector<double>& factor,
-                         const TimingContext& ctx, const StaResult& sta,
-                         NodeId id) {
-  const Node& n = ctx.net->node(id);
-  if (!n.is_gate() || n.cell < 0) return false;
-  const SupplyId cur = rung_at(ctx, id);
-  const SupplyId deepest = ctx.lib->supplies().deepest();
-  const SupplyId next = cur < deepest ? static_cast<SupplyId>(cur + 1) : cur;
-  const double increase = worst_delay_increase(
-      factor[cur], factor[next], ctx.lib->cell(n.cell), sta.load[id]);
-  return increase <= sta.slack[id] + 1e-12;
-}
-
 }  // namespace
-
-bool can_lower_within_slack(const TimingContext& ctx, const StaResult& sta,
-                            NodeId id) {
-  const std::vector<double> factor =
-      ctx.lib->supplies().delay_factors(ctx.lib->voltage_model());
-  return can_deepen_one_rung(factor, ctx, sta, id);
-}
 
 std::vector<NodeId> compute_tcb(const TimingContext& ctx,
                                 const StaResult& sta) {
@@ -55,11 +32,10 @@ std::vector<NodeId> compute_tcb(const TimingContext& ctx,
   for (const OutputPort& port : net.outputs()) drives_port[port.driver] = 1;
 
   // Rungs are memoized per node (the naive sweep re-derives a node's
-  // rung once per fanin), and the deepen probes run as one batched pass
-  // per current-rung group with the factor pair hoisted, instead of a
-  // table lookup per gate.  The probe math is word-for-word
-  // can_deepen_one_rung's, and membership is emitted in the original
-  // gate order, so the TCB is identical.
+  // rung once per fanin), and the deepen probes — can this gate drop one
+  // rung within its own slack? — run as one batched pass per
+  // current-rung group with the factor pair hoisted.  Membership is
+  // emitted in gate order.
   std::vector<SupplyId> rung(net.size(), kTopRung);
   std::vector<char> have_rung(net.size(), 0);
   const auto rung_of_node = [&](NodeId id) {

@@ -21,10 +21,4 @@ namespace dvs {
 std::vector<NodeId> compute_tcb(const TimingContext& ctx,
                                 const StaResult& sta);
 
-/// True iff `id` could drop one ladder rung within its own slack
-/// (ignoring any level-converter cost — the CVS cluster rule never needs
-/// one).  Nodes already on the deepest rung trivially qualify.
-bool can_lower_within_slack(const TimingContext& ctx, const StaResult& sta,
-                            NodeId id);
-
 }  // namespace dvs

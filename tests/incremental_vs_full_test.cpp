@@ -13,7 +13,7 @@
 #include "core/design.hpp"
 #include "support/rng.hpp"
 #include "timing/incremental.hpp"
-#include "timing/reference.hpp"
+#include "reference.hpp"
 
 namespace dvs {
 namespace {

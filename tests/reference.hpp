@@ -1,11 +1,18 @@
-#include "timing/reference.hpp"
+// Seed (pre-compiled-graph) timing walks, kept verbatim as the oracle for
+// the flat-graph engines: pointer-chasing AoS traversal, per-visit fanout
+// deduplication, per-arc library resolution.  The randomized equivalence
+// suites (timing_graph_test, incremental_vs_full_test) require the
+// kernel's full walk and load computation to reproduce these bit-for-bit.
+#pragma once
 
 #include <algorithm>
 #include <cmath>
 
 #include "netlist/topo.hpp"
 #include "support/contracts.hpp"
-#include "timing/arc_eval.hpp"
+#include "timing/kernel.hpp"
+#include "timing/loads.hpp"
+#include "timing/sta.hpp"
 
 namespace dvs {
 
@@ -27,7 +34,8 @@ double pin_cap(const Library& lib, const Node& sink, int pin) {
 
 }  // namespace
 
-NodeLoads compute_loads_reference(const LoadContext& ctx) {
+/// Load computation over the raw Network, ignoring any ctx.graph.
+inline NodeLoads compute_loads_reference(const TimingContext& ctx) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const Network& net = *ctx.net;
   const Library& lib = *ctx.lib;
@@ -57,7 +65,7 @@ NodeLoads compute_loads_reference(const LoadContext& ctx) {
     });
   });
   for (const OutputPort& port : net.outputs()) {
-    loads.direct[port.driver] += ctx.output_port_load;
+    loads.direct[port.driver] += timing_detail::kOutputPortLoad;
     ++direct_count[port.driver];
   }
   const Cell* lc_cell =
@@ -74,7 +82,9 @@ NodeLoads compute_loads_reference(const LoadContext& ctx) {
   return loads;
 }
 
-StaResult run_sta_reference(const TimingContext& ctx, double tspec) {
+/// Full STA over the raw Network, ignoring any ctx.graph.
+inline StaResult run_sta_reference(const TimingContext& ctx,
+                                   double tspec) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const Network& net = *ctx.net;
   const Library& lib = *ctx.lib;
@@ -95,9 +105,7 @@ StaResult run_sta_reference(const TimingContext& ctx, double tspec) {
   r.required.assign(n, RiseFall{kInf, kInf});
   r.slack.assign(n, kInf);
 
-  LoadContext lctx{ctx.net, ctx.lib, ctx.node_vdd, ctx.lc_on_output,
-                   ctx.output_port_load, nullptr};
-  NodeLoads loads = compute_loads_reference(lctx);
+  NodeLoads loads = compute_loads_reference(ctx);
   r.load = std::move(loads.direct);
   r.lc_load = std::move(loads.lc);
   const std::vector<int>& lc_count = loads.lc_fanout_pins;

@@ -96,7 +96,11 @@ TEST_F(LoadsTest, SplitsAcrossConverterBoundary) {
   std::vector<char> lc(net.size(), 0);
   lc[g] = 1;
 
-  LoadContext ctx{&net, &lib_, vdd, lc, 25.0};
+  TimingContext ctx;
+  ctx.net = &net;
+  ctx.lib = &lib_;
+  ctx.node_vdd = vdd;
+  ctx.lc_on_output = lc;
   EXPECT_TRUE(arc_through_lc(ctx, g, hi));
   EXPECT_FALSE(arc_through_lc(ctx, g, lo));
 
@@ -123,7 +127,10 @@ TEST_F(LoadsTest, MultiPinFanoutCountsEveryPin) {
   const NodeId s = net.add_gate(tt_xnor(2), {g, g}, xnor);
   net.add_output("y", s);
   std::vector<double> vdd(net.size(), lib_.vdd_high());
-  LoadContext ctx{&net, &lib_, vdd, {}, 25.0};
+  TimingContext ctx;
+  ctx.net = &net;
+  ctx.lib = &lib_;
+  ctx.node_vdd = vdd;
   const NodeLoads loads = compute_loads(ctx);
   EXPECT_NEAR(loads.direct[g],
               2 * lib_.cell(xnor).input_cap[0] +

@@ -13,9 +13,11 @@
 #include "benchgen/random_dag.hpp"
 #include "core/design.hpp"
 #include "support/rng.hpp"
+#include "timing/cpn.hpp"
 #include "timing/graph.hpp"
 #include "timing/incremental.hpp"
-#include "timing/reference.hpp"
+#include "reference.hpp"
+#include "timing/tcb.hpp"
 
 namespace dvs {
 namespace {
@@ -111,7 +113,7 @@ TEST_F(TimingGraphTest, CompiledStructureMatchesNetwork) {
 
   // Fanin CSR mirrors Node::fanins verbatim; unique-fanout entries
   // reproduce the for_each_unique_fanout visit order with ascending pins
-  // and per-(driver,sink) cap sums.
+  // and per-pin caps.
   net.for_each_node([&](const Node& node) {
     const auto fi = g.fanins(node.id);
     ASSERT_EQ(fi.size(), node.fanins.size());
@@ -129,7 +131,6 @@ TEST_F(TimingGraphTest, CompiledStructureMatchesNetwork) {
     for (std::size_t k = 0; k < uniq.size(); ++k) {
       EXPECT_EQ(uniq[k], expected_uniq[k]);
       const Node& sink = net.node(expected_uniq[k]);
-      double cap_sum = 0.0;
       for (std::size_t pin = 0; pin < sink.fanins.size(); ++pin) {
         if (sink.fanins[pin] != node.id) continue;
         ASSERT_LT(entry_cursor, pins.size());
@@ -139,10 +140,8 @@ TEST_F(TimingGraphTest, CompiledStructureMatchesNetwork) {
                                ? lib_.cell(sink.cell).input_cap[pin]
                                : 6.0;
         EXPECT_EQ(caps[entry_cursor], cap);
-        cap_sum += cap;
         ++entry_cursor;
       }
-      EXPECT_EQ(g.sink_cap_sum(node.id, static_cast<int>(k)), cap_sum);
     }
     EXPECT_EQ(entry_cursor, pins.size());
   });
@@ -233,9 +232,16 @@ TEST_F(TimingGraphTest, DesignRecompilesOnStructuralEdit) {
 TEST_F(TimingGraphTest, StaleGraphInContextFallsBackToFreshCompile) {
   Network net = random_circuit(5, 0.2);
   Design design(std::move(net), lib_);
-  TimingContext ctx = design.timing_context();
+  std::vector<NodeId> gates;
+  design.network().for_each_gate([&](const Node& g) {
+    if (g.cell >= 0) gates.push_back(g.id);
+  });
+  // Every third gate one rung down, so converters and their split loads
+  // are on the paths every consumer walks.
+  for (std::size_t k = 0; k < gates.size(); k += 3)
+    design.set_level(gates[k], kLowRung);
 
-  // Invalidate behind the context's back: the analysis must notice the
+  // Invalidate behind the context's back: every consumer must notice the
   // version mismatch and compile its own view instead of reading the
   // stale one.
   const TimingGraph stale = design.timing_graph();
@@ -249,13 +255,80 @@ TEST_F(TimingGraphTest, StaleGraphInContextFallsBackToFreshCompile) {
   design.network().insert_between(driver, sinks, {}, tt_buf(),
                                   lib_.smallest_of("buf"), "tg_buf2");
   design.sync_with_network();
+  const Network& edited = design.network();
+  ASSERT_FALSE(stale.describes(edited, lib_));
 
-  ctx = design.timing_context();
+  const TimingContext ctx = design.timing_context();
   TimingContext stale_ctx = ctx;
   stale_ctx.graph = &stale;
-  const StaResult via_stale = run_sta(stale_ctx, design.tspec());
-  const StaResult ref = run_sta_reference(ctx, design.tspec());
-  EXPECT_TRUE(bit_identical(via_stale, ref, design.network()));
+  stale_ctx.graph_owner.reset();
+  const double tspec = design.tspec();
+
+  // Full analysis: equal to the reference walk and to a fresh graph.
+  const StaResult fresh = run_sta(ctx, tspec);
+  int converters = 0;
+  for (double load : fresh.lc_load) converters += load > 0.0 ? 1 : 0;
+  ASSERT_GT(converters, 0);
+  const StaResult via_stale = run_sta(stale_ctx, tspec);
+  EXPECT_TRUE(bit_identical(via_stale, run_sta_reference(ctx, tspec), edited));
+  EXPECT_TRUE(bit_identical(via_stale, fresh, edited));
+
+  // Loads.
+  const NodeLoads fresh_loads = compute_loads(ctx);
+  const NodeLoads stale_loads = compute_loads(stale_ctx);
+  EXPECT_EQ(stale_loads.direct, fresh_loads.direct);
+  EXPECT_EQ(stale_loads.lc, fresh_loads.lc);
+  EXPECT_EQ(stale_loads.lc_fanout_pins, fresh_loads.lc_fanout_pins);
+
+  // Critical-path network.
+  const std::vector<NodeId> tcb = compute_tcb(ctx, fresh);
+  ASSERT_FALSE(tcb.empty());
+  const CriticalPathNetwork fresh_cpn = extract_cpn(ctx, fresh, tcb);
+  const CriticalPathNetwork stale_cpn = extract_cpn(stale_ctx, fresh, tcb);
+  EXPECT_FALSE(fresh_cpn.empty());
+  EXPECT_EQ(stale_cpn.nodes, fresh_cpn.nodes);
+  EXPECT_EQ(stale_cpn.edges, fresh_cpn.edges);
+  EXPECT_EQ(stale_cpn.sources, fresh_cpn.sources);
+  EXPECT_EQ(stale_cpn.sinks, fresh_cpn.sinks);
+
+  // Incremental timing, at construction and across point edits.
+  IncrementalSta fresh_timer(ctx, tspec);
+  IncrementalSta stale_timer(stale_ctx, tspec);
+  EXPECT_TRUE(
+      bit_identical(stale_timer.result(), fresh_timer.result(), edited));
+  for (std::size_t k = 1; k < gates.size(); k += 7) {
+    design.set_level(gates[k], kLowRung);
+    fresh_timer.on_node_changed(gates[k]);
+    stale_timer.on_node_changed(gates[k]);
+    ASSERT_TRUE(
+        bit_identical(stale_timer.result(), fresh_timer.result(), edited))
+        << "after lowering node " << gates[k];
+  }
+
+  // Lane walks.
+  MultiLaneSta fresh_lanes(ctx, tspec);
+  MultiLaneSta stale_lanes(stale_ctx, tspec);
+  for (MultiLaneSta* lanes : {&fresh_lanes, &stale_lanes}) {
+    lanes->set_level(lanes->add_lane(), gates[2], kLowRung);
+    const int lane = lanes->add_lane();
+    const int up = lib_.upsize(edited.node(gates[4]).cell);
+    ASSERT_GE(up, 0);
+    lanes->set_cell(lane, gates[4], up);
+    lanes->run();
+  }
+  EXPECT_FALSE(fresh_lanes.recompiled());
+  EXPECT_TRUE(stale_lanes.recompiled());
+  EXPECT_EQ(stale_lanes.base_worst_arrival(), fresh_lanes.base_worst_arrival());
+  for (int lane = 0; lane < 2; ++lane) {
+    EXPECT_EQ(stale_lanes.worst_arrival(lane), fresh_lanes.worst_arrival(lane));
+    for (NodeId id = 0; id < edited.size(); ++id) {
+      if (!edited.is_valid(id)) continue;
+      const RiseFall a = stale_lanes.arrival(lane, id);
+      const RiseFall b = fresh_lanes.arrival(lane, id);
+      EXPECT_EQ(a.rise, b.rise) << "lane " << lane << " node " << id;
+      EXPECT_EQ(a.fall, b.fall) << "lane " << lane << " node " << id;
+    }
+  }
 }
 
 TEST_F(TimingGraphTest, MultiLaneArraysSurviveStructuralEditViaRecompile) {
