@@ -33,16 +33,17 @@ struct LoweringProbe {
 };
 
 /// Per-library constants of the lowering model, hoisted once per Dscale
-/// round instead of re-derived per probe: the rung tables (voltage,
+/// run instead of re-derived per probe: the rung tables (voltage,
 /// squared voltage, leakage factor) are filled from the same ladder
 /// voltages the per-probe code used to look up, so every term below is
-/// the same double it always was.
+/// the same double it always was.  `rules` carries the timing kernel's
+/// load rule for the design's compiled graph.
 struct LoweringModel {
-  explicit LoweringModel(const Design& design,
-                         const std::vector<double>& delay_factor)
+  LoweringModel(const Design& design, const TimingGraph& graph,
+                const std::vector<double>& delay_factor)
       : lib(design.library()),
         ladder(lib.supplies()),
-        wire(lib.wire_load()),
+        rules(design.timing_context(), graph),
         factor(delay_factor),
         v_top(ladder.top()),
         freq(design.freq_mhz()),
@@ -62,7 +63,7 @@ struct LoweringModel {
 
   const Library& lib;
   const SupplyLadder& ladder;
-  const WireLoadModel& wire;
+  timing_detail::NodeRules rules;
   const std::vector<double>& factor;
   // Converters restore to the top rung (timing and power model them
   // there), whatever rungs they bridge.
@@ -96,58 +97,35 @@ LoweringEffect evaluate_lowering(const Design& design, const TimingGraph& graph,
   const Cell* lc = model.lc;
 
   // ---- fanout split after lowering -------------------------------------
-  // Gate fanouts left on strictly shallower rungs than `to` move behind a
-  // converter; same-or-deeper gates and output ports stay direct.  The
-  // compiled entry list carries the matching (sink, pin, cap) triples
-  // directly, and its entry order keeps the cap accumulation
-  // bit-identical.  The same sweep also reconstructs the converter the
-  // gate may *already* carry at `from` (possible on 3+-rung ladders; a
-  // top-rung gate never has one), so the timing/power terms below are
-  // true deltas, not full new-converter charges.
-  double direct_pins = 0.0;
-  double lc_pins = 0.0;
-  int direct_count = 0;
-  int lc_count = 0;
-  double old_lc_pins = 0.0;
-  int old_lc_count = 0;
-  const auto pins = graph.fanout_pins(id);
+  // The kernel's load rule at each rung: gate fanouts left on strictly
+  // shallower rungs than the gate's rung sit behind its converter;
+  // same-or-deeper gates and output ports stay direct.  At `from` it
+  // reconstructs the converter the gate may *already* carry (possible on
+  // 3+-rung ladders), so the timing/power terms below are true deltas,
+  // not full new-converter charges.
   const auto caps = graph.fanout_pin_caps(id);
-  for (std::size_t e = 0; e < pins.size(); ++e) {
-    const NodeId fo = pins[e].sink;
-    const bool sink_is_gate = graph.is_gate(fo);
-    const SupplyId sink = sink_is_gate ? design.level(fo) : kTopRung;
-    if (sink_is_gate && SupplyLadder::converter_needed(to, sink)) {
-      lc_pins += caps[e];
-      ++lc_count;
-    } else {
-      direct_pins += caps[e];
-      ++direct_count;
-    }
-    if (sink_is_gate && SupplyLadder::converter_needed(from, sink)) {
-      old_lc_pins += caps[e];
-      ++old_lc_count;
-    }
+  const auto cap = [&](std::size_t e) { return caps[e]; };
+  const auto behind = [&](SupplyId rung) {
+    return [&, rung](const TimingGraph::FanoutPin& p) {
+      return graph.is_gate(p.sink) &&
+             SupplyLadder::converter_needed(rung, design.level(p.sink));
+    };
+  };
+  if (lc == nullptr) {
+    const auto pins = graph.fanout_pins(id);
+    if (std::any_of(pins.begin(), pins.end(), behind(to)))
+      return {};  // no converter available: infeasible
   }
-  for (int k = 0; k < graph.port_fanout_count(id); ++k) {
-    direct_pins += timing_detail::kOutputPortLoad;
-    ++direct_count;
-  }
-  const bool needs_lc = lc_count > 0;
-  const bool had_lc = old_lc_count > 0;
-  if (needs_lc && lc == nullptr)
-    return {};  // no converter available: infeasible
-
-  double new_direct = direct_pins;
-  int new_direct_count = direct_count;
-  double new_lc_load = 0.0;
-  if (needs_lc) {
-    new_direct += lc->input_cap[0];
-    ++new_direct_count;
-    new_lc_load = lc_pins + model.wire.wire_cap(lc_count);
-  }
-  new_direct += model.wire.wire_cap(new_direct_count);
-  const double old_lc_load =
-      had_lc ? old_lc_pins + model.wire.wire_cap(old_lc_count) : 0.0;
+  const timing_detail::LoadSplit lowered =
+      model.rules.load(id, cap, behind(to));
+  const timing_detail::LoadSplit committed =
+      from == kTopRung ? timing_detail::LoadSplit{}  // carries no converter
+                       : model.rules.load(id, cap, behind(from));
+  const bool needs_lc = lowered.lc_pins > 0;
+  const bool had_lc = committed.lc_pins > 0;
+  const double new_direct = lowered.direct;
+  const double new_lc_load = lowered.lc;
+  const double old_lc_load = committed.lc;
 
   // ---- timing -----------------------------------------------------------
   double self_increase = 0.0;
@@ -312,12 +290,12 @@ DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
   const SupplyId deepest = ladder.deepest();
   const std::vector<double> factor =
       ladder.delay_factors(lib.voltage_model());
-  const LoweringModel model(design, factor);
   // The candidate scans read pin caps off the compiled graph; Dscale
   // itself never resizes, so one sync up front keeps the snapshot
   // current for the whole run.
   const TimingGraph& graph = design.timing_graph();
   graph.sync_cells();
+  const LoweringModel model(design, graph, factor);
 
   // One incremental timer lives across all rounds: candidate collection
   // reads its current state, and every commit/revert/trim below notifies

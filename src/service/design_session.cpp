@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "benchgen/mcnc.hpp"
 #include "core/job.hpp"
 #include "core/sweep_matrix.hpp"
-#include "netlist/blif.hpp"
-#include "netlist/stats.hpp"
-#include "netlist/verilog.hpp"
-#include "service/cache.hpp"
-#include "service/disk_cache.hpp"
-#include "service/session.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
-#include "synth/mapper.hpp"
-#include "synth/sweep.hpp"
 
 namespace dvs {
 
@@ -26,39 +16,31 @@ using Clock = std::chrono::steady_clock;
 /// Why a retired handle name is gone (tombstones_ values).
 enum Tombstone : int { kClosed, kExpired, kEvicted };
 
-bool design_fully_mapped(const Network& net) {
-  bool mapped = true;
-  net.for_each_gate([&](const Node& n) {
-    if (n.cell < 0) mapped = false;
-  });
-  return mapped;
-}
+const char* const kDraining = "draining: design sessions are closing";
 
 }  // namespace
 
 /// One open design: the loaded Design plus everything pinned at open
-/// time so every later verb re-derives nothing — the effective library
-/// (stable address for the Design's lifetime), the frozen tspec, the
-/// derived seeds, the original cells (the sizing baseline "resized"
-/// counts against, immune to full-evaluate Design rebuilds), and the
-/// maintained incremental timer.  `mutex` serializes verbs on this
-/// design; refs / last_used / bytes are guarded by the registry mutex.
+/// time so every later verb re-derives nothing — the job it was resolved
+/// from (effective library, circuit seed), the frozen tspec, the original
+/// cells (the sizing baseline "resized" counts against, immune to
+/// full-evaluate Design rebuilds), and the maintained incremental timer.
+/// Published complete by open; from then on `mutex` serializes verbs on
+/// this design, and refs / last_used / bytes / edits are guarded by the
+/// registry mutex.
 struct DesignRegistry::Handle {
   std::mutex mutex;
 
   std::string name;
   std::string circuit;  // MCNC name or "<inline>"
-  std::uint64_t circuit_seed = 0;
+  /// The heap-allocated handle never moves, so the job's library keeps
+  /// its address for the Design's lifetime; the job's network copy is
+  /// dropped once the Design holds the circuit.
+  ResolvedJob job;
   JobOptions options;       // as opened (sweeps re-derive from these)
-  FlowOptions base_flow;    // circuit_flow(options, circuit_seed)
+  FlowOptions base_flow;    // circuit_flow(options, circuit seed)
   double tspec = 0.0;       // frozen at open: mapped delay * (1+relax)
   double org_power_uw = 0.0;
-
-  /// Effective library: the registry's, or the ladder-adjusted copy.
-  std::optional<SupplyLadder> custom_ladder;
-  std::optional<Library> custom_lib;
-  const Library* lib = nullptr;
-  std::uint64_t lib_fp = 0;
 
   std::optional<Design> design;
   /// Maintained incremental timer; dropped (null) by structural edits
@@ -114,7 +96,7 @@ std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   if (handle.ista)
     bytes += static_cast<std::size_t>(net.size()) *
              (3 * sizeof(RiseFall) + 3 * sizeof(double));
-  if (handle.custom_lib) bytes += 1u << 16;  // library copy, roughly
+  if (handle.job.custom_lib) bytes += 1u << 16;  // library copy, roughly
   return bytes;
 }
 
@@ -161,7 +143,7 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
                 bool* structural) {
   Design& design = *handle.design;
   Network& net = design.network();
-  const Library& lib = *handle.lib;
+  const Library& lib = handle.job.library();
   const NodeId id = resolve_gate(handle, edit.gate);
   const Node& node = net.node(id);
   const auto notify = [&] {
@@ -248,12 +230,55 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
   }
 }
 
+/// A complete handle for `request`, built with no lock held.
+std::shared_ptr<DesignRegistry::Handle> build_handle(
+    const std::string& name, const OpenDesignRequest& request,
+    const Library& lib) {
+  auto handle = std::make_shared<DesignRegistry::Handle>();
+  handle->name = name;
+  handle->circuit = request.circuit.empty() ? "<inline>" : request.circuit;
+  handle->options = request.options;
+  // Into the handle first: the Design points at the job's library.
+  handle->job = resolve_job(request, lib, nullptr);
+  ResolvedJob& job = handle->job;
+  const Library& effective = job.library();
+  const Network& mapped = job.network();
+  handle->base_flow =
+      circuit_flow(request.options.to_flow_options(), job.circuit_seed);
+  JobInit init = make_job_init(mapped, effective, handle->base_flow);
+  handle->tspec = init.row.tspec_ns;
+  handle->org_power_uw = init.row.org_power_uw;
+  handle->design.emplace(
+      make_flow_design(mapped, effective, handle->base_flow, handle->tspec));
+  handle->design->adopt_activity(std::move(init.activity));
+  job.mapped.reset();  // the Design holds its own copy
+  const Network& net = handle->design->network();
+  handle->original_cells.assign(net.size(), -1);
+  net.for_each_gate(
+      [&](const Node& n) { handle->original_cells[n.id] = n.cell; });
+  handle->bytes = estimate_bytes(*handle);
+  return handle;
+}
+
+/// Copies the design's state under its handle lock.
+DesignSnapshot snapshot(const std::shared_ptr<DesignRegistry::Handle>& handle) {
+  std::lock_guard<std::mutex> lock(handle->mutex);
+  DesignSnapshot snap;
+  snap.owner = handle;
+  snap.options = handle->options;
+  snap.job.base_lib = &handle->job.library();
+  snap.job.key.library = handle->job.key.library;
+  snap.job.circuit_seed = handle->job.circuit_seed;
+  snap.job.mapped.emplace(handle->design->network());
+  snap.structural_version = handle->design->network().structural_version();
+  return snap;
+}
+
 }  // namespace
 
 DesignRegistry::DesignRegistry(const Library* lib,
-                               DesignSessionConfig config, ThreadPool* pool,
-                               ResultCache* cache, DiskCacheEngine* disk)
-    : lib_(lib), config_(config), pool_(pool), cache_(cache), disk_(disk) {}
+                               DesignSessionConfig config, ThreadPool* pool)
+    : lib_(lib), config_(config), pool_(pool) {}
 
 DesignRegistry::~DesignRegistry() = default;
 
@@ -311,184 +336,98 @@ void DesignRegistry::gc_locked(Clock::time_point now) {
   }
 }
 
+void DesignRegistry::throw_not_open_locked(const std::string& name) const {
+  auto tomb = tombstones_.find(name);
+  if (tomb != tombstones_.end()) {
+    switch (static_cast<Tombstone>(tomb->second)) {
+      case kClosed:
+        throw ProtocolError("design '" + name + "' is closed");
+      case kExpired:
+        throw ProtocolError("design '" + name +
+                            "' expired after idle timeout");
+      case kEvicted:
+        throw ProtocolError("design '" + name +
+                            "' was evicted under the design byte budget");
+    }
+  }
+  throw ProtocolError("unknown design handle '" + name + "'");
+}
+
 std::shared_ptr<DesignRegistry::Handle> DesignRegistry::acquire(
     const std::string& name, bool allow_while_draining) {
   const Clock::time_point now = Clock::now();
   std::lock_guard<std::mutex> lock(mutex_);
   gc_locked(now);
   auto it = handles_.find(name);
-  if (it == handles_.end()) {
-    auto tomb = tombstones_.find(name);
-    if (tomb != tombstones_.end()) {
-      switch (static_cast<Tombstone>(tomb->second)) {
-        case kClosed:
-          throw ProtocolError("design '" + name + "' is closed");
-        case kExpired:
-          throw ProtocolError("design '" + name +
-                              "' expired after idle timeout");
-        case kEvicted:
-          throw ProtocolError("design '" + name +
-                              "' was evicted under the design byte budget");
-      }
-    }
-    throw ProtocolError("unknown design handle '" + name + "'");
-  }
-  if (draining_ && !allow_while_draining)
-    throw ProtocolError("draining: design sessions are closing");
+  if (it == handles_.end()) throw_not_open_locked(name);
+  if (draining_ && !allow_while_draining) throw ProtocolError(kDraining);
   it->second->last_used = now;
   return it->second;
 }
 
 Json::Object DesignRegistry::open(const OpenDesignRequest& request) {
   const Clock::time_point now = Clock::now();
-  std::shared_ptr<Handle> handle;
   std::string name = request.name;
-  bool attached = false;
-  std::unique_lock<std::mutex> build_lock;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    gc_locked(now);
-    if (draining_)
-      throw ProtocolError("draining: design sessions are closing");
-    if (!name.empty()) {
-      auto it = handles_.find(name);
-      if (it != handles_.end()) {
-        handle = it->second;
-        attached = true;
-      }
-    } else {
-      name = "d" + std::to_string(next_id_++);
-    }
-    if (!handle) {
-      if (handles_.size() >= config_.max_open)
-        throw ProtocolError("too many open designs: " +
-                            std::to_string(handles_.size()) +
-                            " open at cap " +
-                            std::to_string(config_.max_open));
-      handle = std::make_shared<Handle>();
-      handle->name = name;
-      // Publish locked: lookups during the build below block on the
-      // handle mutex (GC skips via try_lock) until the design is ready.
-      build_lock = std::unique_lock<std::mutex>(handle->mutex);
-      handles_.emplace(name, handle);
-      tombstones_.erase(name);  // a reopened name is simply live again
-      stats_.open_now = handles_.size();
-    }
+  std::shared_ptr<Handle> handle;
+  bool attached = true;
+  std::int64_t refs = 0;
+  const auto check_room_locked = [&] {
+    if (handles_.size() >= config_.max_open)
+      throw ProtocolError("too many open designs: " +
+                          std::to_string(handles_.size()) + " open at cap " +
+                          std::to_string(config_.max_open));
+  };
+  const auto attach_locked = [&](const std::shared_ptr<Handle>& resident) {
+    handle = resident;
     handle->refs += 1;
     handle->last_used = now;
     ++stats_.opened;
-  }
-
-  if (!attached) {
-    try {
-      handle->circuit =
-          request.circuit.empty() ? "<inline>" : request.circuit;
-      handle->options = request.options;
-      handle->lib = lib_;
-      handle->lib_fp = lib_->fingerprint();
-      if (!request.options.supplies.empty()) {
-        SupplyLadder ladder(request.options.supplies);
-        if (ladder != lib_->supplies()) {
-          handle->custom_ladder.emplace(std::move(ladder));
-          handle->custom_lib.emplace(*lib_);
-          handle->custom_lib->set_supply_ladder(*handle->custom_ladder);
-          handle->lib = &*handle->custom_lib;
-          handle->lib_fp = handle->lib->fingerprint();
-        }
-      }
-      const Library& lib = *handle->lib;
-      Network mapped;
-      if (!request.circuit.empty()) {
-        const McncDescriptor* descriptor = find_mcnc(request.circuit);
-        if (descriptor == nullptr)
-          throw ProtocolError("unknown MCNC circuit '" + request.circuit +
-                              "'");
-        handle->circuit_seed =
-            mix_seed(request.options.seed, descriptor->seed);
-        mapped = build_mcnc_circuit(lib, *descriptor);
-      } else {
-        handle->circuit_seed = request.options.seed;
-        Network submitted = request.format == "verilog"
-                                ? read_verilog_string(request.netlist, lib)
-                                : read_blif_string(request.netlist);
-        if (design_fully_mapped(submitted) && submitted.num_gates() > 0) {
-          mapped = std::move(submitted);
-        } else {
-          sweep_network(submitted);
-          mapped = map_paper_setup(submitted, lib).mapped;
-        }
-        if (mapped.num_gates() == 0)
-          throw ProtocolError("netlist has no gates to optimize");
-      }
-      handle->base_flow = circuit_flow(request.options.to_flow_options(),
-                                       handle->circuit_seed);
-      JobInit init = make_job_init(mapped, lib, handle->base_flow);
-      handle->tspec = init.row.tspec_ns;
-      handle->org_power_uw = init.row.org_power_uw;
-      handle->design.emplace(
-          make_flow_design(mapped, lib, handle->base_flow, handle->tspec));
-      handle->design->adopt_activity(std::move(init.activity));
-      const Network& net = handle->design->network();
-      handle->original_cells.assign(net.size(), -1);
-      net.for_each_gate(
-          [&](const Node& n) { handle->original_cells[n.id] = n.cell; });
-    } catch (...) {
-      // Unpublish the placeholder; late lookups get "unknown handle",
-      // exactly as if the open never happened.  Taking the registry
-      // mutex while holding the (fresh, unshared-by-waiters-only)
-      // handle mutex is safe: no path blocks on a handle mutex while
-      // holding the registry mutex.
-      std::lock_guard<std::mutex> lock(mutex_);
-      --stats_.opened;
-      auto it = handles_.find(name);
-      if (it != handles_.end() && it->second == handle) {
-        handles_.erase(it);
-        stats_.open_now = handles_.size();
-      }
-      throw;
-    }
-    const std::size_t bytes = estimate_bytes(*handle);
+    refs = handle->refs;
+  };
+  {
     std::lock_guard<std::mutex> lock(mutex_);
-    handle->bytes = bytes;
-    stats_.resident_bytes += bytes;
+    gc_locked(now);
+    if (draining_) throw ProtocolError(kDraining);
+    if (name.empty())
+      name = "d" + std::to_string(next_id_++);  // a failed open consumes it
+    else if (auto it = handles_.find(name); it != handles_.end())
+      attach_locked(it->second);
+    if (!handle) check_room_locked();
+  }
+  if (!handle) {
+    std::shared_ptr<Handle> built = build_handle(name, request, *lib_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = handles_.find(name);
+    if (it == handles_.end()) {  // else a concurrent open published first
+      check_room_locked();
+      it = handles_.emplace(name, built).first;
+      tombstones_.erase(name);  // a reopened name is simply live again
+      stats_.resident_bytes += built->bytes;
+      stats_.open_now = handles_.size();
+      attached = false;
+    }
+    attach_locked(it->second);
     gc_locked(now);  // the new resident may push others over budget
   }
 
-  // Attach path: take the handle mutex now (build path already holds
-  // it) so the reply reads settled fields.  An attacher that raced a
-  // build which then failed finds an unpublished, design-less handle.
-  std::unique_lock<std::mutex> reply_lock;
-  if (!build_lock.owns_lock()) {
-    reply_lock = std::unique_lock<std::mutex>(handle->mutex);
-    if (!handle->design) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --stats_.opened;
-      throw ProtocolError("unknown design handle '" + name + "'");
-    }
-  }
-
   Json::Object fields;
+  fields["attached"] = Json(attached);
+  fields["refs"] = Json(refs);
+  std::lock_guard<std::mutex> lock(handle->mutex);
   fields["design"] = Json(handle->name);
   fields["circuit"] = Json(handle->circuit);
-  fields["attached"] = Json(attached);
   fields["gates"] = Json(handle->design->network().num_gates());
   fields["structural_version"] =
       Json(handle->design->network().structural_version());
   fields["tspec_ns"] = Json(handle->tspec);
   fields["org_power_uw"] = Json(handle->org_power_uw);
-  fields["supplies"] = supplies_json(*handle->lib);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fields["refs"] = Json(static_cast<std::int64_t>(handle->refs));
-  }
+  fields["supplies"] = supplies_json(handle->job.library());
   return fields;
 }
 
 Json::Object DesignRegistry::edit(const EditRequest& request) {
   std::shared_ptr<Handle> handle = acquire(request.design);
   std::lock_guard<std::mutex> lock(handle->mutex);
-  if (!handle->design)  // raced a failed open
-    throw ProtocolError("unknown design handle '" + request.design + "'");
   bool structural = false;
   int applied = 0;
   try {
@@ -523,169 +462,106 @@ Json::Object DesignRegistry::edit(const EditRequest& request) {
 DesignReoptimizeResult DesignRegistry::reoptimize(
     const ReoptimizeRequest& request, RequestTrace* trace) {
   std::shared_ptr<Handle> handle = acquire(request.design);
-  std::lock_guard<std::mutex> lock(handle->mutex);
-  if (!handle->design)  // raced a failed open
-    throw ProtocolError("unknown design handle '" + request.design + "'");
-  Design& design = *handle->design;
-  const Network& net = design.network();
-
   DesignReoptimizeResult out;
+  out.fields["design"] = Json(handle->name);
 
-  if (request.specs.empty()) {
-    // Evaluate mode: the ECO hot path.  Incremental reads the
-    // maintained timer; full rebuilds a fresh Design from the current
-    // network — i.e. exactly the stateless computation — and then
-    // re-arms the timer for the next incremental round.
-    bool full = false;
-    if (request.mode == "incremental") {
-      if (handle->structural_dirty)
-        throw ProtocolError(
-            "cannot reoptimize '" + handle->name +
-            "' incrementally: structural edits require a full recompile "
-            "(mode 'full' or 'auto')");
-    } else if (request.mode == "full") {
-      full = true;
-    } else {
-      full = handle->structural_dirty;
-    }
-
-    const Clock::time_point mark = Clock::now();
-    double power = 0.0;
-    double arrival = 0.0;
-    if (full) {
-      Design fresh(net, *handle->lib, handle->tspec);
-      fresh.set_activity_options(handle->base_flow.activity);
-      fresh.set_freq_mhz(handle->base_flow.freq_mhz);
-      for (NodeId id = 0; id < static_cast<NodeId>(net.size()); ++id)
-        if (net.is_valid(id) && design.level(id) != fresh.level(id))
-          fresh.set_level(id, design.level(id));
-      power = fresh.run_power().total();
-      arrival = fresh.run_timing().worst_arrival;
-      // Re-arm the session: timer rebuilt over the session design (same
-      // state the fresh evaluation just measured), structural debt paid.
-      handle->ista = std::make_unique<IncrementalSta>(
-          design.timing_context(), handle->tspec);
-      handle->structural_dirty = false;
-    } else {
-      if (!handle->ista)
-        handle->ista = std::make_unique<IncrementalSta>(
-            design.timing_context(), handle->tspec);
-      power = design.run_power().total();
-      arrival = handle->ista->result().worst_arrival;
-    }
-    if (trace) trace->add("evaluate", mark, Clock::now());
-
-    out.fields["design"] = Json(handle->name);
-    out.fields["mode"] = Json(full ? "full" : "incremental");
-    out.fields["structural_version"] = Json(net.structural_version());
-    out.fields["tspec_ns"] = Json(handle->tspec);
-    out.fields["power_uw"] = Json(power);
-    out.fields["arrival_ns"] = Json(arrival);
-    out.fields["slack_ns"] = Json(handle->tspec - arrival);
-    out.fields["meets_tspec"] = Json(arrival <= handle->tspec + 1e-9);
-    out.fields["area_um2"] = Json(design.total_area());
-    out.fields["low"] = Json(design.count_low());
-    out.fields["level_converters"] = Json(design.count_lcs());
-    out.fields["resized"] = Json(handle->count_resized());
-    out.fields["org_power_uw"] = Json(handle->org_power_uw);
-    out.fields["improve_pct"] =
-        Json(improvement_pct(handle->org_power_uw, power));
-    std::lock_guard<std::mutex> registry_lock(mutex_);
-    if (full)
-      ++stats_.reoptimize_full;
-    else
-      ++stats_.reoptimize_incremental;
-    return out;
-  }
-
-  // Pipeline mode: re-run the specs from scratch on the edited netlist,
-  // through the same cell engine (and the same result cache) as a
-  // stateless optimize of this exact network.
-  OptimizeRequest synth;
-  synth.options = handle->options;
-  synth.specs = request.specs;
-  Clock::time_point mark = Clock::now();
-  CacheKey key;
-  // Content-addressed, not handle-addressed: the key hashes what the
-  // network IS (topology + mapping), not which handle or how many edits
-  // produced it, so identical states share cache entries across
-  // handles, daemon restarts, and the stateless optimize path
-  // (DESIGN.md).  Mapping is rehashed every time — set_cell edits move
-  // it without bumping the structural version.
-  key.topology = topology_hash(net);
-  key.mapping = mapping_fingerprint(net);
-  key.library = handle->lib_fp;
-  key.options = fnv1a64(canonical_job_json(synth, handle->circuit_seed,
-                                           lib_->supplies()));
-  {
+  if (!request.specs.empty()) {
+    // Pipeline mode: the specs re-run from scratch on the edited netlist.
+    // The caller runs the snapshot through the stateless job path — the
+    // same cell engine and result cache as a stateless optimize of this
+    // exact network — outside the handle lock.
+    out.snapshot = snapshot(handle);
+    out.fields["mode"] = Json("pipeline");
+    out.fields["structural_version"] = Json(out.snapshot->structural_version);
     // Pipeline reoptimizes are from-scratch runs; count them as full.
     std::lock_guard<std::mutex> registry_lock(mutex_);
     ++stats_.reoptimize_full;
+    return out;
   }
-  out.fields["design"] = Json(handle->name);
-  out.fields["mode"] = Json("pipeline");
+
+  // Evaluate mode: the ECO hot path.  Incremental reads the maintained
+  // timer; full rebuilds a fresh Design from the current network — i.e.
+  // exactly the stateless computation — and then re-arms the timer for
+  // the next incremental round.
+  std::lock_guard<std::mutex> lock(handle->mutex);
+  Design& design = *handle->design;
+  const Network& net = design.network();
+  bool full = false;
+  if (request.mode == "incremental") {
+    if (handle->structural_dirty)
+      throw ProtocolError(
+          "cannot reoptimize '" + handle->name +
+          "' incrementally: structural edits require a full recompile "
+          "(mode 'full' or 'auto')");
+  } else if (request.mode == "full") {
+    full = true;
+  } else {
+    full = handle->structural_dirty;
+  }
+
+  double power = 0.0;
+  double arrival = 0.0;
+  if (full) {
+    Design fresh = make_flow_design(net, handle->job.library(),
+                                    handle->base_flow, handle->tspec);
+    for (NodeId id = 0; id < static_cast<NodeId>(net.size()); ++id)
+      if (net.is_valid(id) && design.level(id) != fresh.level(id))
+        fresh.set_level(id, design.level(id));
+    power = fresh.run_power().total();
+    arrival = fresh.run_timing().worst_arrival;
+    // Re-arm the session: timer rebuilt over the session design (same
+    // state the fresh evaluation just measured), structural debt paid.
+    handle->ista = std::make_unique<IncrementalSta>(design.timing_context(),
+                                                    handle->tspec);
+    handle->structural_dirty = false;
+  } else {
+    if (!handle->ista)
+      handle->ista = std::make_unique<IncrementalSta>(
+          design.timing_context(), handle->tspec);
+    power = design.run_power().total();
+    arrival = handle->ista->result().worst_arrival;
+  }
+  if (trace) trace->phase("evaluate");
+
+  out.fields["mode"] = Json(full ? "full" : "incremental");
   out.fields["structural_version"] = Json(net.structural_version());
-  out.cache = "miss";
-  if (request.use_cache && cache_) {
-    ResultCache::Payload payload = cache_->get(key);
-    if (payload) {
-      if (trace) trace->add("cache_lookup", mark, Clock::now());
-      out.body = std::move(payload);
-      out.cache = "hit";
-      return out;
-    }
-    if (disk_) {
-      payload = disk_->load(key);
-      if (payload) {
-        cache_->put(key, payload);
-        if (trace) trace->add("cache_lookup", mark, Clock::now());
-        out.body = std::move(payload);
-        out.cache = "disk";
-        return out;
-      }
-    }
-    if (trace) trace->add("cache_lookup", mark, Clock::now());
-  }
-  mark = Clock::now();
-  const PipelineJobResult result =
-      run_pipeline_job(net, *handle->lib, handle->base_flow,
-                       handle->circuit_seed, request.specs);
-  out.body = std::make_shared<const std::string>(
-      Json(pipeline_body_object(result, trace)).dump());
-  if (trace) trace->add("execute", mark, Clock::now());
-  if (cache_) cache_->put(key, out.body);
-  if (disk_) disk_->store(key, out.body);
+  out.fields["tspec_ns"] = Json(handle->tspec);
+  out.fields["power_uw"] = Json(power);
+  out.fields["arrival_ns"] = Json(arrival);
+  out.fields["slack_ns"] = Json(handle->tspec - arrival);
+  out.fields["meets_tspec"] = Json(arrival <= handle->tspec + 1e-9);
+  out.fields["area_um2"] = Json(design.total_area());
+  out.fields["low"] = Json(design.count_low());
+  out.fields["level_converters"] = Json(design.count_lcs());
+  out.fields["resized"] = Json(handle->count_resized());
+  out.fields["org_power_uw"] = Json(handle->org_power_uw);
+  out.fields["improve_pct"] =
+      Json(improvement_pct(handle->org_power_uw, power));
+  std::lock_guard<std::mutex> registry_lock(mutex_);
+  if (full)
+    ++stats_.reoptimize_full;
+  else
+    ++stats_.reoptimize_incremental;
   return out;
 }
 
 Json::Object DesignRegistry::sweep(const SweepRequest& request) {
-  std::shared_ptr<Handle> handle = acquire(request.design);
   // Snapshot under the handle lock, compute outside it: a long sweep
   // must not block edits (or the GC's try_lock probe) on this design.
-  Network snapshot;
+  const DesignSnapshot snap = snapshot(acquire(request.design));
+  const Network& net = *snap.job.mapped;
+  const Library& lib = *snap.job.base_lib;
   SweepMatrixSpec spec;
-  const Library* lib = nullptr;
-  std::uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lock(handle->mutex);
-    if (!handle->design)  // raced a failed open
-      throw ProtocolError("unknown design handle '" + request.design +
-                          "'");
-    snapshot = handle->design->network();
-    version = snapshot.structural_version();
-    spec.base = handle->options.to_flow_options();
-    spec.circuit_seed = handle->circuit_seed;
-    lib = handle->lib;  // outlives the sweep via the shared_ptr
-  }
+  spec.base = snap.options.to_flow_options();
+  spec.circuit_seed = snap.job.circuit_seed;
   spec.ladders = request.ladders;
   for (double v : request.vlow)
-    spec.ladders.push_back({lib->supplies().top(), v});
+    spec.ladders.push_back({lib.supplies().top(), v});
   spec.specs = request.specs;
 
   const std::function<Network(const Library&)> source =
-      [&snapshot](const Library&) { return snapshot; };
-  SweepMatrixResult result =
-      run_sweep_matrix(source, *lib, spec, pool_);
+      [&net](const Library&) { return net; };
+  SweepMatrixResult result = run_sweep_matrix(source, lib, spec, pool_);
   {
     std::lock_guard<std::mutex> registry_lock(mutex_);
     ++stats_.sweeps;
@@ -693,8 +569,8 @@ Json::Object DesignRegistry::sweep(const SweepRequest& request) {
   }
   Json grid = sweep_matrix_json(result);
   Json::Object fields = std::move(grid.as_object());
-  fields["design"] = Json(handle->name);
-  fields["structural_version"] = Json(version);
+  fields["design"] = Json(request.design);
+  fields["structural_version"] = Json(snap.structural_version);
   return fields;
 }
 
@@ -703,22 +579,7 @@ Json::Object DesignRegistry::close(const CloseDesignRequest& request) {
   std::lock_guard<std::mutex> lock(mutex_);
   gc_locked(now);
   auto it = handles_.find(request.design);
-  if (it == handles_.end()) {
-    auto tomb = tombstones_.find(request.design);
-    if (tomb != tombstones_.end()) {
-      switch (static_cast<Tombstone>(tomb->second)) {
-        case kClosed:
-          throw ProtocolError("design '" + request.design + "' is closed");
-        case kExpired:
-          throw ProtocolError("design '" + request.design +
-                              "' expired after idle timeout");
-        case kEvicted:
-          throw ProtocolError("design '" + request.design +
-                              "' was evicted under the design byte budget");
-      }
-    }
-    throw ProtocolError("unknown design handle '" + request.design + "'");
-  }
+  if (it == handles_.end()) throw_not_open_locked(request.design);
   std::shared_ptr<Handle> handle = it->second;
   handle->refs -= 1;
   const int refs = handle->refs;

@@ -2,29 +2,35 @@
 // design handles behind the open_design / edit / reoptimize / sweep /
 // close_design protocol verbs (README.md "ECO sessions").
 //
-// A handle owns a loaded Design (network + supply assignment), the
-// pinned flow configuration (tspec, seeds, activity options, effective
-// library), and a maintained IncrementalSta so a point edit (rung, cell
-// swap, resize) re-evaluates in O(affected) instead of re-simulating
-// the world.  Structural edits (level-converter insertion/removal) drop
-// the timer and mark the handle dirty; the next reoptimize recompiles
-// the timing graph from scratch — the incremental-vs-recompile decision
-// rule is structural_version-exact, never heuristic (DESIGN.md).
+// A handle owns a loaded Design (network + supply assignment), the job
+// it was resolved from (effective library, circuit seed — the service's
+// one resolver, resolve_job, builds it), the frozen tspec, and a
+// maintained IncrementalSta so a point edit (rung, cell swap, resize)
+// re-evaluates in O(affected) instead of re-simulating the world.
+// Structural edits (level-converter insertion/removal) drop the timer and
+// mark the handle dirty; the next reoptimize recompiles the timing graph
+// from scratch — the incremental-vs-recompile decision rule is
+// structural_version-exact, never heuristic (DESIGN.md).
 //
 // Lifecycle: handles are refcounted (opening an existing name attaches,
 // closing decrements, freed at zero), lazily garbage-collected after
 // config.idle_ms of disuse, and evicted oldest-idle-first when their
 // estimated resident bytes exceed config.max_bytes.  Closed / expired /
 // evicted handles leave tombstones so late requests get a precise,
-// protocol-verbatim error instead of a generic "unknown handle".
+// protocol-verbatim error instead of a generic "unknown handle".  open
+// builds a handle with no lock held and publishes it complete, so no
+// verb ever sees a half-built design.
 //
 // Thread model: a registry mutex guards the handle map, tombstones, and
 // counters; each handle carries its own mutex serializing verbs on that
-// design.  Lock order is registry -> handle, and the registry mutex is
-// never held while blocking on a handle (GC probes with try_lock), so
-// long verbs on one design never stall the others.  The registry is
-// service-agnostic on purpose — tests and benches drive it directly,
-// exactly like execute_optimize.
+// design.  Lock order is handle -> registry: a verb may take the
+// registry while it holds its handle, to update counters.  The registry
+// never blocks on a handle (the GC only try_locks), so long verbs on one
+// design never stall the others.  sweep and a pipeline reoptimize copy a
+// snapshot under the handle lock and compute outside it; a pipeline
+// reoptimize's snapshot runs through the stateless job path
+// (execute_job), so the registry knows nothing of caches.  The registry
+// is service-agnostic on purpose — tests and benches drive it directly.
 #pragma once
 
 #include <chrono>
@@ -40,6 +46,7 @@
 #include "core/design.hpp"
 #include "core/flow.hpp"
 #include "service/protocol.hpp"
+#include "service/session.hpp"
 #include "support/json.hpp"
 #include "support/trace.hpp"
 #include "timing/incremental.hpp"
@@ -47,8 +54,6 @@
 namespace dvs {
 
 class ThreadPool;
-class ResultCache;
-class DiskCacheEngine;
 
 struct DesignSessionConfig {
   /// Idle expiry: a handle untouched this long is expired by the lazy
@@ -61,14 +66,24 @@ struct DesignSessionConfig {
   std::size_t max_open = 256;
 };
 
+/// An open design's state, copied under its handle lock so a long
+/// computation on it never holds that lock: the job a stateless optimize
+/// of this exact network would resolve to (its key still lacks the
+/// network hashes), the options the design was opened with, and the
+/// handle itself, which keeps the job's library alive.
+struct DesignSnapshot {
+  std::shared_ptr<const void> owner;
+  ResolvedJob job;
+  JobOptions options;
+  std::uint64_t structural_version = 0;  // the design's, not the copy's
+};
+
 /// What a reoptimize produced.  Evaluate mode (no pipeline/algos) fills
-/// `fields` completely; pipeline mode additionally carries the cached
-/// serialized body (spliced into the response without re-parsing, like
-/// optimize results) and the cache tier that answered.
+/// `fields` completely; pipeline mode fills the reply's head fields and a
+/// snapshot for the caller to run through the stateless job path.
 struct DesignReoptimizeResult {
   Json::Object fields;
-  std::shared_ptr<const std::string> body;  // pipeline mode only
-  const char* cache = nullptr;              // "hit" / "disk" / "miss"
+  std::optional<DesignSnapshot> snapshot;  // pipeline mode only
 };
 
 /// Monotonic counters + point-in-time gauges, mirrored into the metrics
@@ -93,12 +108,9 @@ class DesignRegistry {
   /// local helpers there can name it).
   struct Handle;
 
-  /// `pool` fans sweep cells out (null = serial); `cache`/`disk` back
-  /// pipeline-reoptimize results (null = uncached).  All three may be
-  /// null for direct use in tests.
+  /// `pool` fans sweep cells out (null = serial).
   DesignRegistry(const Library* lib, DesignSessionConfig config,
-                 ThreadPool* pool = nullptr, ResultCache* cache = nullptr,
-                 DiskCacheEngine* disk = nullptr);
+                 ThreadPool* pool = nullptr);
   ~DesignRegistry();
 
   DesignRegistry(const DesignRegistry&) = delete;
@@ -130,6 +142,8 @@ class DesignRegistry {
   /// errors) and stamps its last_used.
   std::shared_ptr<Handle> acquire(const std::string& name,
                                   bool allow_while_draining = false);
+  /// Throws why `name` is not open: its tombstone, or unknown.
+  [[noreturn]] void throw_not_open_locked(const std::string& name) const;
   /// Expires idle handles and enforces the byte budget.  Registry mutex
   /// must be held; handles are probed with try_lock so an in-flight
   /// verb is never reaped mid-operation.
@@ -139,8 +153,6 @@ class DesignRegistry {
   const Library* lib_;
   DesignSessionConfig config_;
   ThreadPool* pool_;
-  ResultCache* cache_;
-  DiskCacheEngine* disk_;
 
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<Handle>> handles_;

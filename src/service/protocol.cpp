@@ -117,6 +117,19 @@ std::string parse_format(const Json& json) {
   return format;
 }
 
+/// The CircuitSource block of optimize and open_design.
+void parse_circuit_source(const Json& json, const std::string& type,
+                          CircuitSource* source) {
+  if (const Json* v = json.find("circuit")) source->circuit = v->as_string();
+  if (const Json* v = json.find("netlist")) source->netlist = v->as_string();
+  if (source->circuit.empty() == source->netlist.empty())
+    throw ProtocolError(type +
+                        " needs exactly one of 'circuit' or 'netlist'");
+  if (const Json* v = json.find("format")) source->format = parse_format(*v);
+  if (const Json* v = json.find("options"))
+    source->options = parse_options(*v);
+}
+
 Json num_field(double v) { return Json(v); }
 
 std::uint64_t parse_deadline_ms(const Json& json) {
@@ -243,14 +256,8 @@ Request parse_request(const std::string& line) {
                      "optimize");
     request.type = RequestType::kOptimize;
     OptimizeRequest& opt = request.optimize;
-    if (const Json* v = json.find("circuit")) opt.circuit = v->as_string();
-    if (const Json* v = json.find("netlist")) opt.netlist = v->as_string();
-    if (opt.circuit.empty() == opt.netlist.empty())
-      throw ProtocolError(
-          "optimize needs exactly one of 'circuit' or 'netlist'");
-    if (const Json* v = json.find("format")) opt.format = parse_format(*v);
+    parse_circuit_source(json, "optimize", &opt);
     parse_specs(json, "optimize", &opt.specs);
-    if (const Json* v = json.find("options")) opt.options = parse_options(*v);
     if (const Json* v = json.find("return_netlist"))
       opt.return_netlist = v->as_bool();
     if (const Json* v = json.find("use_cache")) opt.use_cache = v->as_bool();
@@ -320,14 +327,7 @@ Request parse_request(const std::string& line) {
     OpenDesignRequest& open = request.open_design;
     if (const Json* v = json.find("name"))
       open.name = parse_design_name(*v, "name");
-    if (const Json* v = json.find("circuit")) open.circuit = v->as_string();
-    if (const Json* v = json.find("netlist")) open.netlist = v->as_string();
-    if (open.circuit.empty() == open.netlist.empty())
-      throw ProtocolError(
-          "open_design needs exactly one of 'circuit' or 'netlist'");
-    if (const Json* v = json.find("format")) open.format = parse_format(*v);
-    if (const Json* v = json.find("options"))
-      open.options = parse_options(*v);
+    parse_circuit_source(json, "open_design", &open);
     return request;
   }
 

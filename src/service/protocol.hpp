@@ -99,11 +99,18 @@ struct RegisterWorkerRequest {
   int capacity = 1;  // max concurrently leased jobs
 };
 
-struct OptimizeRequest {
-  /// Exactly one of `circuit` (MCNC name) / `netlist` (text) is set.
+/// The circuit a job runs on — exactly one of `circuit` (an MCNC name)
+/// or `netlist` (BLIF/Verilog text) — and the options it runs with: the
+/// block optimize and open_design share, which the service's one resolver
+/// turns into a job (service/session.hpp).
+struct CircuitSource {
   std::string circuit;
   std::string netlist;
   std::string format = "blif";  // input (and netlist-out) format
+  JobOptions options;
+};
+
+struct OptimizeRequest : CircuitSource {
   /// The job's cells, one pipeline spec each (string grammar or JSON
   /// array), resolved per circuit by the cell engine (core/job.hpp).
   /// `algos` parses into the paper specs it names, in table order (the
@@ -111,7 +118,6 @@ struct OptimizeRequest {
   /// client sent it — explicit-vs-defaulted options matter for seed
   /// resolution.
   std::vector<Json> specs = paper_specs();
-  JobOptions options;
   bool return_netlist = false;  // requires exactly one cell
   bool use_cache = true;
   /// Queue budget in milliseconds (0 = none): if the job has not been
@@ -147,16 +153,12 @@ struct BatchRequest {
 // decrements, and the design is freed when the last reference closes
 // (or the idle GC expires it first).
 
-/// `{"type":"open_design", ...}` — load a netlist into a named handle.
-/// Exactly one of `circuit` / `netlist`, as in optimize.  `name` is
-/// optional: empty lets the daemon assign "d<N>"; a known name attaches
-/// to the existing design (its netlist/options are then ignored).
-struct OpenDesignRequest {
+/// `{"type":"open_design", ...}` — load a circuit into a named handle.
+/// `name` is optional: empty lets the daemon assign "d<N>"; a known name
+/// attaches to the existing design (its circuit/options are then
+/// ignored).
+struct OpenDesignRequest : CircuitSource {
   std::string name;
-  std::string circuit;
-  std::string netlist;
-  std::string format = "blif";
-  JobOptions options;
 };
 
 /// One streamed structural delta of an `edit` request.

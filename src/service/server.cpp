@@ -25,9 +25,7 @@ void ServiceCore::init(const Library* injected) {
   design_config.idle_ms = config.session_idle_ms;
   design_config.max_bytes = config.design_bytes;
   design_config.max_open = config.max_open_designs;
-  designs.emplace(lib, design_config, &*pool, &*cache,
-                  disk ? &*disk : nullptr);
-  lib_fingerprint = lib->fingerprint();
+  designs.emplace(lib, design_config, &*pool);
   started = std::chrono::steady_clock::now();
   init_metrics();
   if (!config.trace_log_path.empty())

@@ -28,14 +28,13 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "library/library.hpp"
 #include "service/cache.hpp"
 #include "service/design_session.hpp"
 #include "service/disk_cache.hpp"
+#include "service/session.hpp"
 #include "support/metrics.hpp"
 #include "support/socket.hpp"
 #include "support/thread_pool.hpp"
@@ -166,8 +165,7 @@ struct ServiceCore {
   std::optional<ResultCache> cache;
   std::optional<DiskCacheEngine> disk;  // set when config.cache_dir is
   /// ECO design sessions (open_design/edit/reoptimize/sweep/close).
-  /// Declared after the subsystems it borrows (pool, caches) so it is
-  /// destroyed before them.
+  /// Declared after the pool it borrows so it is destroyed before it.
   std::optional<DesignRegistry> designs;
   /// Fleet dispatch (set when config.scheduler).  shared_ptr so the
   /// header can stay ignorant of the Scheduler definition; constructed
@@ -180,7 +178,7 @@ struct ServiceCore {
   std::size_t backlog_watermark = 0;
 
   /// Builds the core's subsystems from its config: library, pool,
-  /// cache tiers, watermark, fingerprint, instruments, trace log, and
+  /// cache tiers, watermark, instruments, trace log, and
   /// (when config.scheduler) the fleet scheduler.  Shared by Service
   /// and the standalone worker, which runs a core with no listener.
   /// `lib` null = build and own the compass library.
@@ -197,34 +195,18 @@ struct ServiceCore {
     return requested || trace_log.has_value() || config.slow_ms > 0;
   }
 
-  /// Admission gate for new optimize/batch requests.  A saturated pool
-  /// answers `false` immediately — callers reply with a structured
-  /// "overloaded" error instead of queuing unboundedly.
+  /// Admission gate for new pool jobs, batches and sweeps.  A saturated
+  /// pool answers `false` immediately — Session::admit replies with a
+  /// structured "overloaded" error instead of queuing unboundedly.
   bool admit() const {
     return metrics.inflight_jobs->value() <
            static_cast<double>(backlog_watermark);
   }
 
-  /// Library::fingerprint is a pure function of the (immutable) library;
-  /// computed once at startup instead of per request.
-  std::uint64_t lib_fingerprint = 0;
-
-  /// (topology_hash, mapping_fingerprint) memo keyed by
-  /// "<circuit>@<library fingerprint>": for named circuits those are
-  /// pure functions of (descriptor, effective library), so the
-  /// cache-hit path skips rebuilding the circuit entirely — including
-  /// jobs at custom supply ladders, which memoize under their
-  /// ladder-adjusted fingerprint.
-  std::mutex named_hash_mutex;
-  std::unordered_map<std::string, std::pair<std::uint64_t, std::uint64_t>>
-      named_hashes;
-
-  /// Ladder-adjusted Library::fingerprint per SupplyLadder::fingerprint:
-  /// custom-supplies requests need the effective fingerprint for the
-  /// cache key before the lookup, and the memo keeps the hit path free
-  /// of per-request Library copies.
-  std::mutex ladder_fp_mutex;
-  std::unordered_map<std::uint64_t, std::uint64_t> ladder_fps;
+  /// The resolver's memo (service/session.hpp): the cache-hit path of a
+  /// repeat submission skips rebuilding the circuit and copying the
+  /// library — including jobs at custom supply ladders.
+  KeyMemo memo;
 };
 
 class Service {

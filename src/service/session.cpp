@@ -26,19 +26,19 @@ namespace dvs {
 
 namespace {
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
 }
 
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
+double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
 /// Slow-request stderr line and NDJSON trace-log record for one finished
-/// request (optimize or batch item).
+/// request (optimize, reoptimize or batch item).
 void emit_trace_record(ServiceCore& core, const char* type, const Json& id,
                        const std::string& name, const char* cache,
                        double wall_ms, const RequestTrace& trace) {
@@ -88,124 +88,21 @@ std::string design_response(const char* type, const Json& id,
   return finish_response(std::move(head));
 }
 
-/// A resolved job: the effective library (ladder-adjusted when the
-/// request pins a supply ladder), the cache key, plus the circuit (built
-/// lazily for named MCNC circuits — the cache-hit path needs neither the
-/// network nor the adjusted library copy).
-struct ResolvedJob {
-  const McncDescriptor* descriptor = nullptr;  // named circuits only
-  std::optional<Network> mapped;
-  /// Set for custom-supplies jobs; the adjusted copy materializes on
-  /// first library() use.  The effective library is always *derived*
-  /// (never a stored pointer into this struct), so moves/copies of the
-  /// job can never dangle.
-  std::optional<SupplyLadder> custom_ladder;
-  std::optional<Library> custom_lib;
-  const Library* core_lib = nullptr;
-  CacheKey key;
-  std::uint64_t circuit_seed = 0;
-
-  const Library& library() {
-    if (!custom_ladder) return *core_lib;
-    if (!custom_lib) {
-      custom_lib.emplace(*core_lib);
-      custom_lib->set_supply_ladder(*custom_ladder);
-    }
-    return *custom_lib;
-  }
-
-  /// The circuit, building it on first use.
-  const Network& network() {
-    if (!mapped)
-      mapped.emplace(build_mcnc_circuit(library(), *descriptor));
-    return *mapped;
-  }
-};
-
-ResolvedJob resolve(ServiceCore& core, const OptimizeRequest& request) {
-  ResolvedJob job;
-  job.core_lib = core.lib;
-  job.key.library = core.lib_fingerprint;
-  if (!request.options.supplies.empty()) {
-    SupplyLadder ladder(request.options.supplies);
-    if (ladder != core.lib->supplies()) {
-      // The whole flow (mapping included) runs against the requested
-      // operating point; the adjusted fingerprint carries the ladder
-      // into the cache key.  It is memoized per ladder so repeat
-      // submissions (the cache-hit fast path) skip the Library copy —
-      // building the copy once also vets the ladder against the
-      // library's threshold voltage.
-      const std::uint64_t ladder_fp = ladder.fingerprint();
-      job.custom_ladder.emplace(std::move(ladder));
-      std::optional<std::uint64_t> lib_fp;
-      {
-        std::lock_guard<std::mutex> lock(core.ladder_fp_mutex);
-        auto it = core.ladder_fps.find(ladder_fp);
-        if (it != core.ladder_fps.end()) lib_fp = it->second;
-      }
-      if (!lib_fp) {
-        lib_fp = job.library().fingerprint();
-        std::lock_guard<std::mutex> lock(core.ladder_fp_mutex);
-        core.ladder_fps.emplace(ladder_fp, *lib_fp);
-      }
-      job.key.library = *lib_fp;
-    }
-  }
-  if (!request.circuit.empty()) {
-    const McncDescriptor* descriptor = find_mcnc(request.circuit);
-    if (descriptor == nullptr)
-      throw ProtocolError("unknown MCNC circuit '" + request.circuit +
-                          "'");
-    job.descriptor = descriptor;
-    // The suite engine's seed derivation, so daemon answers match
-    // suite_bench rows bit for bit.
-    job.circuit_seed = mix_seed(request.options.seed, descriptor->seed);
-    // Named circuits are pure functions of (descriptor, library): their
-    // hashes are memoized per (circuit, library fingerprint) — custom
-    // ladders change the mapping's operating point, so each effective
-    // library gets its own slot — and the cache-hit fast path skips the
-    // generator entirely.
-    const std::string memo_key =
-        request.circuit + "@" + std::to_string(job.key.library);
-    {
-      std::lock_guard<std::mutex> lock(core.named_hash_mutex);
-      auto it = core.named_hashes.find(memo_key);
-      if (it != core.named_hashes.end()) {
-        job.key.topology = it->second.first;
-        job.key.mapping = it->second.second;
-      }
-    }
-    if (job.key.topology == 0) {
-      const Network& net = job.network();
-      job.key.topology = topology_hash(net);
-      job.key.mapping = mapping_fingerprint(net);
-      std::lock_guard<std::mutex> lock(core.named_hash_mutex);
-      core.named_hashes.emplace(
-          memo_key,
-          std::make_pair(job.key.topology, job.key.mapping));
-    }
-  } else {
-    const Library& lib = job.library();
-    job.circuit_seed = request.options.seed;
-    Network submitted = request.format == "verilog"
-                            ? read_verilog_string(request.netlist, lib)
-                            : read_blif_string(request.netlist);
-    // Hash what the client sent; whether we must map it is derived
-    // state, captured by the mapping fingerprint.
-    job.key.topology = topology_hash(submitted);
-    job.key.mapping = mapping_fingerprint(submitted);
-    if (fully_mapped(submitted) && submitted.num_gates() > 0) {
-      job.mapped.emplace(std::move(submitted));
-    } else {
-      sweep_network(submitted);
-      job.mapped.emplace(map_paper_setup(submitted, lib).mapped);
-    }
-    if (job.mapped->num_gates() == 0)
-      throw ProtocolError("netlist has no gates to optimize");
-  }
-  job.key.options = fnv1a64(
-      canonical_job_json(request, job.circuit_seed, core.lib->supplies()));
-  return job;
+/// The dequeue step every pool job starts with: observes the wait since
+/// `queued` (the histogram, and the trace's queue_wait phase) and reports
+/// whether the job's deadline, counted from `since`, expired in the
+/// queue — a job whose budget burned away there fails fast instead of
+/// occupying a worker late.
+bool expired_at_dequeue(ServiceCore& core, Clock::time_point queued,
+                        RequestTrace* trace, std::uint64_t deadline_ms,
+                        Clock::time_point since) {
+  const Clock::time_point dequeued = Clock::now();
+  core.metrics.queue_wait_ms->observe(ms_between(queued, dequeued));
+  if (trace) trace->phase("queue_wait", dequeued);
+  if (deadline_ms == 0 || ms_between(since, dequeued) <= deadline_ms)
+    return false;
+  core.metrics.deadline_expired->inc();
+  return true;
 }
 
 /// Runs the job's cells and assembles the response body object.
@@ -236,7 +133,114 @@ std::string compute_body(const OptimizeRequest& request, ResolvedJob& job,
   return Json(std::move(body)).dump();
 }
 
+/// The resolver's name lookup: a named circuit's descriptor, or the
+/// protocol's unknown-circuit error.
+const McncDescriptor& named_circuit(const std::string& name) {
+  const McncDescriptor* descriptor = find_mcnc(name);
+  if (descriptor == nullptr)
+    throw ProtocolError("unknown MCNC circuit '" + name + "'");
+  return *descriptor;
+}
+
+/// A pipeline reoptimize: the design's snapshot through the stateless job
+/// path, exactly as a stateless optimize of this network would run.
+OptimizeOutcome run_snapshot(ServiceCore& core, DesignSnapshot& snapshot,
+                             const ReoptimizeRequest& request,
+                             RequestTrace* trace) {
+  OptimizeRequest synth;
+  synth.options = snapshot.options;
+  synth.specs = request.specs;
+  synth.use_cache = request.use_cache;
+  ResolvedJob& job = snapshot.job;
+  // Content-addressed, not handle-addressed: the key hashes what the
+  // network IS (topology + mapping), not which handle or how many edits
+  // produced it, so identical states share cache entries across handles,
+  // daemon restarts, and the stateless optimize path (DESIGN.md).
+  // Mapping is rehashed every time — set_cell edits move it without
+  // bumping the structural version.
+  job.key.topology = topology_hash(*job.mapped);
+  job.key.mapping = mapping_fingerprint(*job.mapped);
+  // A snapshot has no circuit name or netlist text to send a worker.
+  return execute_job(core, synth, job, trace, /*allow_remote=*/false);
+}
+
 }  // namespace
+
+const Library& ResolvedJob::library() {
+  if (!custom_ladder) return *base_lib;
+  if (!custom_lib) {
+    custom_lib.emplace(*base_lib);
+    custom_lib->set_supply_ladder(*custom_ladder);
+  }
+  return *custom_lib;
+}
+
+const Network& ResolvedJob::network() {
+  if (!mapped) mapped.emplace(build_mcnc_circuit(library(), *descriptor));
+  return *mapped;
+}
+
+ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
+                        KeyMemo* memo) {
+  const auto memoized = [memo](const std::string& slot,
+                               const auto& compute) {
+    return memo ? memo->get(slot, compute) : compute();
+  };
+  ResolvedJob job;
+  job.base_lib = &lib;
+  // The whole flow (mapping included) runs against the requested
+  // operating point; the effective library's fingerprint carries the
+  // ladder into the cache key.  Building the adjusted copy (once per
+  // ladder, with a memo) also vets the ladder against the library's
+  // threshold voltage.
+  std::uint64_t ladder_fp = lib.supplies().fingerprint();
+  if (!source.options.supplies.empty()) {
+    SupplyLadder ladder(source.options.supplies);
+    if (ladder != lib.supplies()) {
+      ladder_fp = ladder.fingerprint();
+      job.custom_ladder.emplace(std::move(ladder));
+    }
+  }
+  job.key.library = memoized("ladder " + std::to_string(ladder_fp), [&] {
+                      return CacheKey{.library = job.library().fingerprint()};
+                    }).library;
+  if (!source.circuit.empty()) {
+    job.descriptor = &named_circuit(source.circuit);
+    // The suite engine's seed derivation, so daemon answers match
+    // suite_bench rows bit for bit.
+    job.circuit_seed = mix_seed(source.options.seed, job.descriptor->seed);
+    // A named circuit is a pure function of (descriptor, effective
+    // library): its hashes are memoized per pair, and the cache-hit fast
+    // path skips the generator entirely.
+    const CacheKey parts = memoized(
+        source.circuit + "@" + std::to_string(job.key.library), [&] {
+          const Network& net = job.network();
+          return CacheKey{.topology = topology_hash(net),
+                          .mapping = mapping_fingerprint(net)};
+        });
+    job.key.topology = parts.topology;
+    job.key.mapping = parts.mapping;
+    return job;
+  }
+  const Library& effective = job.library();
+  job.circuit_seed = source.options.seed;
+  Network submitted = source.format == "verilog"
+                          ? read_verilog_string(source.netlist, effective)
+                          : read_blif_string(source.netlist);
+  // Hash what the client sent; whether we must map it is derived state,
+  // captured by the mapping fingerprint.
+  job.key.topology = topology_hash(submitted);
+  job.key.mapping = mapping_fingerprint(submitted);
+  if (fully_mapped(submitted) && submitted.num_gates() > 0) {
+    job.mapped.emplace(std::move(submitted));
+  } else {
+    sweep_network(submitted);
+    job.mapped.emplace(map_paper_setup(submitted, effective).mapped);
+  }
+  if (job.mapped->num_gates() == 0)
+    throw ProtocolError("netlist has no gates to optimize");
+  return job;
+}
 
 Json::Object pipeline_body_object(const PipelineJobResult& result,
                                   RequestTrace* trace) {
@@ -296,44 +300,34 @@ const char* cache_tier_name(OptimizeOutcome::Tier tier) {
   return "miss";
 }
 
-OptimizeOutcome execute_optimize(ServiceCore& core,
-                                 const OptimizeRequest& request,
-                                 RequestTrace* trace, bool allow_remote) {
-  // Phase timestamps: each phase starts where the previous one ended, so
-  // the spans tile the execution window and their sum tracks wall time.
-  using Clock = std::chrono::steady_clock;
-  const auto finish = [](OptimizeOutcome out) {
-    out.finished = Clock::now();
-    return out;
-  };
-  Clock::time_point mark = Clock::now();
-  ResolvedJob job = resolve(core, request);
-  Clock::time_point t = Clock::now();
-  if (trace) trace->add("resolve", mark, t);
-  mark = t;
+OptimizeOutcome execute_job(ServiceCore& core, const OptimizeRequest& request,
+                            ResolvedJob& job, RequestTrace* trace,
+                            bool allow_remote) {
+  job.key.options = fnv1a64(
+      canonical_job_json(request, job.circuit_seed, core.lib->supplies()));
+  const Clock::time_point resolved = Clock::now();
+  if (trace) trace->phase("resolve", resolved);
   if (request.use_cache) {
-    ResultCache::Payload payload = core.cache->get(job.key);
-    t = Clock::now();
-    core.metrics.cache_lookup_memory_ms->observe(ms_between(mark, t));
-    if (payload) {
-      if (trace) trace->add("cache_lookup", mark, t);
-      return finish({std::move(payload), OptimizeOutcome::Tier::kMemory});
-    }
-    if (core.disk) {
-      const Clock::time_point disk_start = t;
-      payload = core.disk->load(job.key);
-      t = Clock::now();
-      core.metrics.cache_lookup_disk_ms->observe(ms_between(disk_start, t));
-      if (payload) {
+    OptimizeOutcome hit;
+    hit.body = core.cache->get(job.key);
+    hit.tier = OptimizeOutcome::Tier::kMemory;
+    Clock::time_point t = Clock::now();
+    core.metrics.cache_lookup_memory_ms->observe(ms_between(resolved, t));
+    if (!hit.body && core.disk) {
+      hit.body = core.disk->load(job.key);
+      hit.tier = OptimizeOutcome::Tier::kDisk;
+      const Clock::time_point loaded = Clock::now();
+      core.metrics.cache_lookup_disk_ms->observe(ms_between(t, loaded));
+      t = loaded;
+      if (hit.body) {
         // Promote-on-hit: the disk answer becomes resident so repeats
         // pay memory-tier latency (no disk write — it is already there).
-        core.cache->put(job.key, payload);
-        if (trace) trace->add("cache_lookup", mark, Clock::now());
-        return finish({std::move(payload), OptimizeOutcome::Tier::kDisk});
+        core.cache->put(job.key, hit.body);
+        t = Clock::now();
       }
     }
-    if (trace) trace->add("cache_lookup", mark, t);
-    mark = t;
+    if (trace) trace->phase("cache_lookup", t);
+    if (hit.body) return hit;
   }
   // An explicit cache bypass still warms both tiers below; only the
   // lookups are skipped.
@@ -354,14 +348,18 @@ OptimizeOutcome execute_optimize(ServiceCore& core,
   if (!outcome.body)
     outcome.body = std::make_shared<const std::string>(
         compute_body(request, job, trace));
-  outcome.tier = OptimizeOutcome::Tier::kMiss;
-  t = Clock::now();
-  if (trace) trace->add("execute", mark, t);
-  mark = t;
+  if (trace) trace->phase("execute");
   core.cache->put(job.key, outcome.body);
   if (core.disk) core.disk->store(job.key, outcome.body);
-  if (trace) trace->add("store", mark, Clock::now());
-  return finish(std::move(outcome));
+  if (trace) trace->phase("store");
+  return outcome;
+}
+
+OptimizeOutcome execute_optimize(ServiceCore& core,
+                                 const OptimizeRequest& request,
+                                 RequestTrace* trace, bool allow_remote) {
+  ResolvedJob job = resolve_job(request, *core.lib, &core.memo);
+  return execute_job(core, request, job, trace, allow_remote);
 }
 
 Session::Session(ServiceCore* core, Socket socket)
@@ -456,9 +454,8 @@ bool Session::serve_line(const std::string& line) {
   return request.type == RequestType::kShutdown;
 }
 
-void Session::handle(const Request& request,
-                     std::chrono::steady_clock::time_point received,
-                     std::chrono::steady_clock::time_point parsed) {
+void Session::handle(const Request& request, Clock::time_point received,
+                     Clock::time_point parsed) {
   switch (request.type) {
     case RequestType::kPing:
       write_line(finish_response(response_head("pong", request.id)));
@@ -474,7 +471,9 @@ void Session::handle(const Request& request,
       core_->request_stop();
       break;
     case RequestType::kOptimize:
-      handle_optimize(request, received, parsed);
+    case RequestType::kOpenDesign:
+    case RequestType::kReoptimize:
+      handle_job(request, received, parsed);
       break;
     case RequestType::kBatch:
       handle_batch(request);
@@ -489,9 +488,7 @@ void Session::handle(const Request& request,
       worker_info_ = request.register_worker;
       worker_mode_ = true;
       break;
-    case RequestType::kOpenDesign:
     case RequestType::kEdit:
-    case RequestType::kReoptimize:
     case RequestType::kSweep:
     case RequestType::kCloseDesign:
       handle_design(request, received);
@@ -587,80 +584,121 @@ void Session::handle_stats(const Request& request) {
   write_line(finish_response(std::move(fields)));
 }
 
-void Session::handle_optimize(const Request& request,
-                              std::chrono::steady_clock::time_point received,
-                              std::chrono::steady_clock::time_point parsed) {
-  using Clock = std::chrono::steady_clock;
-  // The trace epoch is the moment the request line arrived; wall_ms is
-  // measured from the same instant, so the depth-0 phase spans tile the
-  // reported wall time by construction.
-  std::shared_ptr<RequestTrace> trace;
-  if (core_->want_trace(request.optimize.trace)) {
-    trace = std::make_shared<RequestTrace>(received);
-    trace->add("parse", received, parsed);
-  }
-  if (!core_->admit()) {
-    core_->metrics.overload_rejections->inc();
-    write_line(error_response(request.id, overloaded_message(*core_),
-                              "overloaded"));
-    return;
-  }
+bool Session::admit(const Json& id) {
+  if (core_->admit()) return true;
+  core_->metrics.overload_rejections->inc();
+  write_line(error_response(id, overloaded_message(*core_), "overloaded"));
+  return false;
+}
+
+std::optional<Session::JobReply> Session::run_pool_job(
+    const Json& id, Clock::time_point received, std::uint64_t deadline_ms,
+    RequestTrace* trace, const std::function<JobReply()>& run) {
+  if (!admit(id)) return std::nullopt;
   const Clock::time_point admitted = Clock::now();
-  if (trace) trace->add("admission", parsed, admitted);
-  // The flow runs on the shared pool so concurrent connections share
-  // the worker budget; this session thread just waits for its result.
-  auto promise = std::make_shared<std::promise<OptimizeOutcome>>();
-  std::future<OptimizeOutcome> future = promise->get_future();
+  if (trace) trace->phase("admission", admitted);
+  // The job runs on the shared pool so connections share the worker
+  // budget; this thread waits for it, so `run` may use the caller's
+  // frame.  An error comes back as plain strings: the exception object
+  // stays on the pool thread that threw it.
+  struct Done {
+    std::optional<JobReply> reply;
+    std::string error;
+    std::string code;
+  };
+  auto done = std::make_shared<std::promise<Done>>();
+  std::future<Done> future = done->get_future();
   ServiceCore* core = core_;
-  // One copy of the request (it can carry a multi-MB netlist), shared
-  // with the pool task instead of captured by value a second time.
-  auto job = std::make_shared<const OptimizeRequest>(request.optimize);
-  const std::uint64_t deadline_ms = request.optimize.deadline_ms;
-  core_->metrics.inflight_jobs->add(1);
-  core_->pool->submit([core, job, promise, received, admitted, deadline_ms,
-                       trace]() {
-    const Clock::time_point dequeued = Clock::now();
-    core->metrics.queue_wait_ms->observe(ms_between(admitted, dequeued));
-    if (trace) trace->add("queue_wait", admitted, dequeued);
-    // Deadline honored at dequeue: a job whose budget burned away in
-    // the queue fails fast instead of occupying a worker late.
-    if (deadline_ms > 0 && ms_since(received) > deadline_ms) {
-      core->metrics.deadline_expired->inc();
-      promise->set_exception(std::make_exception_ptr(ProtocolError(
-          deadline_message(deadline_ms), "deadline_exceeded")));
+  core->metrics.inflight_jobs->add(1);
+  core->pool->submit([core, done, &run, received, admitted, deadline_ms,
+                      trace] {
+    Done out;
+    if (expired_at_dequeue(*core, admitted, trace, deadline_ms, received)) {
+      out.error = deadline_message(deadline_ms);
+      out.code = "deadline_exceeded";
     } else {
       try {
-        promise->set_value(execute_optimize(*core, *job, trace.get()));
-      } catch (...) {
-        promise->set_exception(std::current_exception());
+        out.reply = run();
+      } catch (const ProtocolError& e) {
+        out.error = e.what();
+        out.code = e.code();
+      } catch (const std::exception& e) {
+        out.error = e.what();
       }
     }
     core->metrics.inflight_jobs->add(-1);
+    done->set_value(std::move(out));
   });
-  const OptimizeOutcome outcome = future.get();  // rethrows job errors
+  Done out = future.get();
+  if (!out.reply) throw ProtocolError(out.error, out.code);
   core_->metrics.jobs_completed->inc();
-
-  const Clock::time_point done = Clock::now();
-  if (trace) trace->add("respond", outcome.finished, done);
-  const double wall_ms = ms_between(received, done);
-  core_->metrics.service_ms_optimize->observe(wall_ms);
-  Json::Object fields = response_head("result", request.id);
-  fields["cache"] = Json(cache_tier_name(outcome.tier));
-  if (!outcome.executor.empty())
-    fields["executor"] = Json(outcome.executor);
-  fields["wall_ms"] = Json(wall_ms);
-  if (trace && request.optimize.trace) fields["trace"] = trace->json();
-  write_line(finish_response_with_body(std::move(fields), *outcome.body));
-  if (trace)
-    emit_trace_record(*core_, "optimize", request.id,
-                      job->circuit.empty() ? "<inline>" : job->circuit,
-                      cache_tier_name(outcome.tier), wall_ms, *trace);
+  return std::move(out.reply);
 }
 
-void Session::handle_design(
-    const Request& request,
-    std::chrono::steady_clock::time_point received) {
-  using Clock = std::chrono::steady_clock;
+void Session::handle_job(const Request& request, Clock::time_point received,
+                         Clock::time_point parsed) {
+  const bool optimize = request.type == RequestType::kOptimize;
+  const bool open = request.type == RequestType::kOpenDesign;
+  const bool wire_trace =
+      optimize ? request.optimize.trace : !open && request.reoptimize.trace;
+  // The trace epoch is the moment the request line arrived and the last
+  // phase ends where wall_ms is read, so the phases tile the reported
+  // wall time by construction.  open_design is never traced.
+  std::optional<RequestTrace> trace;
+  if (!open && core_->want_trace(wire_trace)) {
+    trace.emplace(received);
+    trace->phase("parse", parsed);
+  }
+  RequestTrace* const spans = trace ? &*trace : nullptr;
+  DesignRegistry& designs = *core_->designs;
+  std::optional<JobReply> reply = run_pool_job(
+      request.id, received, optimize ? request.optimize.deadline_ms : 0,
+      spans, [&]() -> JobReply {
+        if (optimize)
+          return {{}, execute_optimize(*core_, request.optimize, spans)};
+        if (open) return {designs.open(request.open_design), {}};
+        DesignReoptimizeResult result =
+            designs.reoptimize(request.reoptimize, spans);
+        JobReply out{std::move(result.fields), {}};
+        if (result.snapshot)
+          out.outcome = run_snapshot(*core_, *result.snapshot,
+                                     request.reoptimize, spans);
+        return out;
+      });
+  if (!reply) return;
+
+  const Clock::time_point done = Clock::now();
+  if (trace) trace->phase("respond", done);
+  const double wall_ms = ms_between(received, done);
+  (optimize ? core_->metrics.service_ms_optimize
+            : core_->metrics.service_ms_design)
+      ->observe(wall_ms);
+  Json::Object head = response_head(
+      optimize ? "result" : open ? "design_opened" : "reoptimized",
+      request.id);
+  for (auto& [key, value] : reply->fields) head[key] = std::move(value);
+  const OptimizeOutcome& outcome = reply->outcome;
+  const char* cache = outcome.body ? cache_tier_name(outcome.tier) : "none";
+  if (outcome.body) head["cache"] = Json(cache);
+  if (!outcome.executor.empty()) head["executor"] = Json(outcome.executor);
+  head["wall_ms"] = Json(wall_ms);
+  if (trace && wire_trace) head["trace"] = trace->json();
+  write_line(outcome.body
+                 ? finish_response_with_body(std::move(head), *outcome.body)
+                 : finish_response(std::move(head)));
+  if (trace) {
+    const std::string& circuit = request.optimize.circuit;
+    emit_trace_record(*core_, optimize ? "optimize" : "reoptimize",
+                      request.id,
+                      !optimize          ? request.reoptimize.design
+                      : circuit.empty() ? std::string("<inline>")
+                                        : circuit,
+                      cache, wall_ms, *trace);
+  }
+}
+
+void Session::handle_design(const Request& request,
+                            Clock::time_point received) {
   DesignRegistry& designs = *core_->designs;
   const Json& id = request.id;
 
@@ -680,93 +718,31 @@ void Session::handle_design(
     return;
   }
 
-  if (!core_->admit()) {
-    core_->metrics.overload_rejections->inc();
-    write_line(
-        error_response(id, overloaded_message(*core_), "overloaded"));
-    return;
-  }
-
-  if (request.type == RequestType::kSweep) {
-    // Orchestrated inline: the grid's cells fan out on the pool while
-    // this session thread waits in parallel_for for those cells only —
-    // never a pool worker, so even a single-threaded pool cannot
-    // deadlock on its own sweep.
-    core_->metrics.inflight_jobs->add(1);
-    Json::Object fields;
-    try {
-      fields = designs.sweep(request.sweep);
-    } catch (...) {
-      core_->metrics.inflight_jobs->add(-1);
-      throw;
-    }
-    core_->metrics.inflight_jobs->add(-1);
-    core_->metrics.jobs_completed->inc();
-    const double wall_ms = ms_since(received);
-    fields["wall_ms"] = Json(wall_ms);
-    write_line(design_response("sweep_result", id, std::move(fields)));
-    core_->metrics.service_ms_design->observe(wall_ms);
-    return;
-  }
-
-  // open_design / reoptimize run as pool jobs — a design load or a
-  // pipeline re-run is full flow computation, so connections share the
-  // worker budget exactly as optimize does.
-  const bool is_open = request.type == RequestType::kOpenDesign;
-  std::shared_ptr<RequestTrace> trace;
-  const bool wire_trace = !is_open && request.reoptimize.trace;
-  if (!is_open && core_->want_trace(request.reoptimize.trace))
-    trace = std::make_shared<RequestTrace>(received);
-  auto promise = std::make_shared<std::promise<DesignReoptimizeResult>>();
-  std::future<DesignReoptimizeResult> future = promise->get_future();
-  ServiceCore* core = core_;
-  // One shared copy — an open_design can carry a multi-MB netlist.
-  auto req = std::make_shared<const Request>(request);
+  // Sweep is orchestrated inline: the grid's cells fan out on the pool
+  // while this session thread waits in parallel_for for those cells
+  // only — never a pool worker, so even a single-threaded pool cannot
+  // deadlock on its own sweep.
+  if (!admit(id)) return;
   core_->metrics.inflight_jobs->add(1);
-  core_->pool->submit([core, req, promise, trace] {
-    try {
-      DesignReoptimizeResult result;
-      if (req->type == RequestType::kOpenDesign)
-        result.fields = core->designs->open(req->open_design);
-      else
-        result = core->designs->reoptimize(req->reoptimize, trace.get());
-      promise->set_value(std::move(result));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-    core->metrics.inflight_jobs->add(-1);
-  });
-  DesignReoptimizeResult result = future.get();  // rethrows job errors
+  Json::Object fields;
+  try {
+    fields = designs.sweep(request.sweep);
+  } catch (...) {
+    core_->metrics.inflight_jobs->add(-1);
+    throw;
+  }
+  core_->metrics.inflight_jobs->add(-1);
   core_->metrics.jobs_completed->inc();
-
-  const Clock::time_point done = Clock::now();
-  const double wall_ms = ms_between(received, done);
+  const double wall_ms = ms_since(received);
+  fields["wall_ms"] = Json(wall_ms);
+  write_line(design_response("sweep_result", id, std::move(fields)));
   core_->metrics.service_ms_design->observe(wall_ms);
-  Json::Object head =
-      response_head(is_open ? "design_opened" : "reoptimized", id);
-  for (auto& [key, value] : result.fields) head[key] = std::move(value);
-  if (result.cache) head["cache"] = Json(result.cache);
-  head["wall_ms"] = Json(wall_ms);
-  if (trace && wire_trace) head["trace"] = trace->json();
-  if (result.body)
-    write_line(finish_response_with_body(std::move(head), *result.body));
-  else
-    write_line(finish_response(std::move(head)));
-  if (trace)
-    emit_trace_record(*core_, "reoptimize", id, req->reoptimize.design,
-                      result.cache ? result.cache : "none", wall_ms, *trace);
 }
 
 void Session::handle_batch(const Request& request) {
-  const auto start = std::chrono::steady_clock::now();
-  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
   const BatchRequest& batch = request.batch;
-  if (!core_->admit()) {
-    core_->metrics.overload_rejections->inc();
-    write_line(error_response(request.id, overloaded_message(*core_),
-                              "overloaded"));
-    return;
-  }
+  if (!admit(request.id)) return;
 
   // Materialize the circuit list (validated up front so a typo fails the
   // whole batch immediately instead of mid-stream).
@@ -777,8 +753,7 @@ void Session::handle_batch(const Request& request) {
         names.push_back(d.name);
   } else {
     for (const std::string& name : batch.circuits) {
-      if (find_mcnc(name) == nullptr)
-        throw ProtocolError("unknown MCNC circuit '" + name + "'");
+      named_circuit(name);
       names.push_back(name);
     }
   }
@@ -806,46 +781,42 @@ void Session::handle_batch(const Request& request) {
     item.options = batch.options;
     item.use_cache = batch.use_cache;
     core_->metrics.inflight_jobs->add(1);
-    // Each item's trace epoch — and its wall_ms — is its submission
-    // time, so the item's queue_wait/execute spans tile its wall time
-    // even though items stream back out of order.
     const Clock::time_point submitted = Clock::now();
     core_->pool->submit([this, core, progress, item, i, start, submitted,
                          deadline_ms, tracing, wire_trace,
                          id = request.id]() {
-      const Clock::time_point dequeued = Clock::now();
-      core->metrics.queue_wait_ms->observe(ms_between(submitted, dequeued));
+      // Each item's trace epoch — and its wall_ms — is its submission
+      // time, so the item's phases tile its wall time even though items
+      // stream back out of order.
       std::optional<RequestTrace> trace;
-      if (tracing) {
-        trace.emplace(submitted);
-        trace->add("queue_wait", submitted, dequeued);
-      }
-      std::string line;
-      if (deadline_ms > 0 && ms_since(start) > deadline_ms) {
-        // The batch's per-item dequeue budget, measured from batch
-        // arrival: late items fail fast instead of running stale.
-        core->metrics.deadline_expired->inc();
-        core->metrics.jobs_failed->inc();
-        progress->failed.fetch_add(1);
+      if (tracing) trace.emplace(submitted);
+      RequestTrace* const spans = trace ? &*trace : nullptr;
+      const auto head = [&] {
         Json::Object fields = response_head("batch_item", id);
         fields["index"] = Json(static_cast<std::uint64_t>(i));
         fields["name"] = Json(item.circuit);
+        return fields;
+      };
+      std::string line;
+      // The batch's per-item dequeue budget is measured from batch
+      // arrival.
+      if (expired_at_dequeue(*core, submitted, spans, deadline_ms, start)) {
+        core->metrics.jobs_failed->inc();
+        progress->failed.fetch_add(1);
+        Json::Object fields = head();
         fields["error"] = Json(deadline_message(deadline_ms));
         fields["code"] = Json("deadline_exceeded");
         line = finish_response(std::move(fields));
       } else {
         try {
-          const OptimizeOutcome outcome =
-              execute_optimize(*core, item, trace ? &*trace : nullptr);
+          const OptimizeOutcome outcome = execute_optimize(*core, item, spans);
           core->metrics.jobs_completed->inc();
           if (outcome.cache_hit()) progress->hits.fetch_add(1);
           const Clock::time_point done = Clock::now();
-          if (trace) trace->add("respond", outcome.finished, done);
+          if (trace) trace->phase("respond", done);
           const double wall_ms = ms_between(submitted, done);
           core->metrics.service_ms_batch_item->observe(wall_ms);
-          Json::Object fields = response_head("batch_item", id);
-          fields["index"] = Json(static_cast<std::uint64_t>(i));
-          fields["name"] = Json(item.circuit);
+          Json::Object fields = head();
           fields["cache"] = Json(cache_tier_name(outcome.tier));
           if (!outcome.executor.empty())
             fields["executor"] = Json(outcome.executor);
@@ -860,9 +831,7 @@ void Session::handle_batch(const Request& request) {
         } catch (const std::exception& e) {
           core->metrics.jobs_failed->inc();
           progress->failed.fetch_add(1);
-          Json::Object fields = response_head("batch_item", id);
-          fields["index"] = Json(static_cast<std::uint64_t>(i));
-          fields["name"] = Json(item.circuit);
+          Json::Object fields = head();
           fields["error"] = Json(e.what());
           line = finish_response(std::move(fields));
         }

@@ -1,15 +1,19 @@
 // One client connection of the dvsd service: reads NDJSON requests,
-// dispatches them, writes NDJSON responses.  The session thread does
-// I/O and cache lookups only — flow computation is submitted to the
-// shared ThreadPool, and batch items stream back out-of-order through
-// the session's write lock as workers finish them.
+// dispatches them, writes NDJSON responses.  The session thread does I/O
+// only: optimize, open_design and reoptimize run as pool jobs through one
+// runner, batch items stream back out-of-order through the session's
+// write lock as workers finish them, and every job that produces a
+// result body takes one path — resolve_job, then execute_job's cache
+// step (yadcc's hash, look up, dispatch, store).
 //
 // Error containment: every per-request failure (malformed JSON, unknown
 // fields, bad netlists, unknown circuits) turns into an {"type":"error"}
 // response and the connection keeps serving — a client mistake must
-// never take the daemon or even its own connection down.
+// never take the daemon or even its own connection down.  A pool job's
+// error travels back to its session as a value (message and code), so
+// no exception object is shared between threads.
 //
-// Overload control: new optimize/batch requests are refused with a
+// Overload control: new pool jobs, batches and sweeps are refused with a
 // structured "overloaded" error while ServiceCore's admission gate is
 // shut; a batch keeps at most max_inflight_per_connection items in the
 // pool at once (the rest feed in as items finish); a request's
@@ -20,10 +24,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
+#include "library/library.hpp"
+#include "netlist/network.hpp"
+#include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "support/socket.hpp"
 #include "support/trace.hpp"
@@ -31,6 +41,7 @@
 namespace dvs {
 
 struct ServiceCore;
+struct McncDescriptor;
 
 /// Outcome of one optimization job, ready for response assembly.  The
 /// body (serialized report/metrics object) is shared with the cache.
@@ -44,9 +55,6 @@ struct OptimizeOutcome {
   /// Non-empty when a fleet worker computed the body (its announced
   /// name) — surfaced as the response's "executor" field.
   std::string executor;
-  /// When execute_optimize returned — the start of the caller's
-  /// "respond" trace span (future wake-up + serialization + send).
-  std::chrono::steady_clock::time_point finished{};
 
   bool cache_hit() const { return tier != Tier::kMiss; }
 };
@@ -54,17 +62,77 @@ struct OptimizeOutcome {
 /// The wire spelling of an outcome's tier ("miss" / "hit" / "disk").
 const char* cache_tier_name(OptimizeOutcome::Tier tier);
 
-/// Runs one optimize job on the calling thread: resolve the circuit,
-/// hash it, consult both cache tiers, run the flow on a miss, store the
-/// body (memory + write-behind disk).  Throws on invalid requests;
-/// never mutates connection state (shared by the optimize path, batch
-/// items, the in-process bench, and tests).  With a non-null `trace`,
-/// appends the resolve / cache_lookup / execute / store phase spans plus
-/// depth-1 per-pass spans; always records the cache-lookup histograms.
-/// With `allow_remote` (and a scheduler with live workers), cache
-/// misses are dispatched to the fleet first, falling back to local
-/// computation whenever the fleet cannot answer; workers call with
-/// allow_remote=false so a job is never re-dispatched.
+/// The resolver's memo: cache-key parts that are pure functions of a
+/// slot name (the effective library's fingerprint per supply ladder, a
+/// named circuit's hashes per effective library), so the cache-hit path
+/// neither copies the library nor builds the circuit.  Two racing misses
+/// compute and store the same value.
+class KeyMemo {
+ public:
+  template <class Compute>
+  CacheKey get(const std::string& slot, const Compute& compute) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto it = parts_.find(slot);
+      if (it != parts_.end()) return it->second;
+    }
+    const CacheKey parts = compute();
+    std::lock_guard<std::mutex> lock(mutex_);
+    parts_.emplace(slot, parts);
+    return parts;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::unordered_map<std::string, CacheKey> parts_;
+};
+
+/// A request's circuit resolved into a job: the effective library
+/// (ladder-adjusted when the request pins a supply ladder), the circuit
+/// seed, the mapped network and the cache key's library, topology and
+/// mapping parts (the options part depends on the verb).  A named
+/// circuit's network and the adjusted library copy are built on first
+/// use — the cache-hit path needs neither.
+struct ResolvedJob {
+  const McncDescriptor* descriptor = nullptr;  // named circuits only
+  std::optional<Network> mapped;
+  /// The effective library is always *derived* (never a stored pointer
+  /// into this struct), so moves and copies of the job never dangle.
+  const Library* base_lib = nullptr;
+  std::optional<SupplyLadder> custom_ladder;
+  std::optional<Library> custom_lib;
+  CacheKey key;
+  std::uint64_t circuit_seed = 0;
+
+  const Library& library();
+  const Network& network();
+};
+
+/// The one resolver: an MCNC name or an inline BLIF/Verilog netlist, at
+/// `lib`'s ladder or the one the options pin, into a job.  Throws the
+/// protocol's unknown-circuit, parse and no-gates errors.  `memo` (may be
+/// null) serves the key parts of repeat submissions.
+ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
+                        KeyMemo* memo);
+
+/// The one cache step: hashes the request's options into the job's key,
+/// then consults the memory tier, then the disk tier (promoting a disk
+/// hit to memory); on a miss runs the job and stores the body to both
+/// tiers.  With `allow_remote` (and a scheduler with live workers) a miss
+/// goes to the fleet first, falling back to local computation whenever
+/// the fleet cannot answer; the request must then name its circuit or
+/// carry its netlist.  Always records the cache-lookup histograms; with
+/// a non-null `trace`, appends the resolve / cache_lookup / execute /
+/// store phases plus depth-1 per-pass spans.
+OptimizeOutcome execute_job(ServiceCore& core, const OptimizeRequest& request,
+                            ResolvedJob& job, RequestTrace* trace,
+                            bool allow_remote);
+
+/// Runs one optimize job on the calling thread: resolve_job, then
+/// execute_job.  Throws on invalid requests; never mutates connection
+/// state (shared by the optimize path, batch items, fleet workers, the
+/// in-process bench, and tests).  Workers call with allow_remote=false so
+/// a job is never re-dispatched.
 OptimizeOutcome execute_optimize(ServiceCore& core,
                                  const OptimizeRequest& request,
                                  RequestTrace* trace = nullptr,
@@ -101,26 +169,43 @@ class Session {
   void write_line(const std::string& line);
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// What a pool job hands its session: body-less reply fields (design
+  /// verbs) and/or a cached body (optimize, pipeline reoptimize).
+  struct JobReply {
+    Json::Object fields;
+    OptimizeOutcome outcome;
+  };
+
   /// Parses and dispatches one request line; returns true when the
   /// request asked for daemon shutdown.
   bool serve_line(const std::string& line);
   /// `received`/`parsed` bracket parse_request — the first trace phase.
-  void handle(const Request& request,
-              std::chrono::steady_clock::time_point received,
-              std::chrono::steady_clock::time_point parsed);
-  void handle_optimize(const Request& request,
-                       std::chrono::steady_clock::time_point received,
-                       std::chrono::steady_clock::time_point parsed);
+  void handle(const Request& request, Clock::time_point received,
+              Clock::time_point parsed);
+  /// optimize, open_design and reoptimize: one pool job each.
+  void handle_job(const Request& request, Clock::time_point received,
+                  Clock::time_point parsed);
+  /// The admission gate: false (after writing the structured
+  /// "overloaded" error) when it is shut.
+  bool admit(const Json& id);
+  /// The one pool-job runner: admission, the in-flight count, queue wait
+  /// and the deadline check at dequeue, then `run` on a pool worker while
+  /// this thread waits.  Returns nullopt when admission refused the job;
+  /// a job's error comes back as a value and is rethrown here.
+  std::optional<JobReply> run_pool_job(const Json& id,
+                                       Clock::time_point received,
+                                       std::uint64_t deadline_ms,
+                                       RequestTrace* trace,
+                                       const std::function<JobReply()>& run);
   void handle_batch(const Request& request);
   void handle_stats(const Request& request);
   void handle_metrics(const Request& request);
-  /// ECO session verbs (service/design_session.hpp).  open_design and
-  /// reoptimize run on the pool behind the admission gate (they can
-  /// carry full compiles / pipeline runs); edit and close_design answer
-  /// inline on this thread (ms-scale); sweep orchestrates inline and
-  /// fans its cells onto the pool.
-  void handle_design(const Request& request,
-                     std::chrono::steady_clock::time_point received);
+  /// edit and close_design answer inline on this thread (ms-scale);
+  /// sweep orchestrates inline behind the admission gate and fans its
+  /// cells onto the pool.
+  void handle_design(const Request& request, Clock::time_point received);
 
   ServiceCore* core_;
   Socket socket_;

@@ -15,24 +15,17 @@ double ms_between(RequestTrace::Clock::time_point a,
 
 }  // namespace
 
-void RequestTrace::add(const std::string& name, Clock::time_point start,
-                       Clock::time_point end, int depth) {
-  TraceSpan span;
-  span.name = name;
-  span.depth = depth;
-  span.start_ms = ms_between(epoch_, start);
-  span.dur_ms = ms_between(start, end);
+void RequestTrace::phase(const std::string& name, Clock::time_point end) {
   std::lock_guard<std::mutex> lock(mutex_);
-  spans_.push_back(std::move(span));
+  spans_.push_back({name, 0, ms_between(epoch_, phase_end_),
+                    ms_between(phase_end_, end)});
+  phase_end_ = end;
 }
 
-void RequestTrace::add_offset(const std::string& name, double start_ms,
-                              double dur_ms, int depth) {
-  TraceSpan span;
-  span.name = name;
-  span.depth = depth;
-  span.start_ms = start_ms;
-  span.dur_ms = dur_ms;
+void RequestTrace::add(const std::string& name, Clock::time_point start,
+                       Clock::time_point end, int depth) {
+  TraceSpan span{name, depth, ms_between(epoch_, start),
+                 ms_between(start, end)};
   std::lock_guard<std::mutex> lock(mutex_);
   spans_.push_back(std::move(span));
 }

@@ -7,12 +7,13 @@
 //
 // Span depth encodes the contract the service relies on:
 //   * depth 0 — request *phases* (parse, admission, queue_wait, resolve,
-//     cache_lookup, execute, store, respond). Phases are defined by
-//     consecutive timestamps, so they never overlap and their durations sum
-//     to the request wall time (modulo the few instructions between clock
-//     reads).
+//     cache_lookup, execute, store, respond; `evaluate` for an ECO
+//     evaluation). phase() appends each from where the previous one ended,
+//     so they never overlap, leave no gap, and their durations sum to the
+//     request wall time when the last phase ends where wall time is read.
 //   * depth 1 — detail spans nested inside a phase (per-pass execute times
-//     from the pipeline runner). These may tile only part of their parent.
+//     from the pipeline runner, fleet dispatches). These may tile only part
+//     of their parent.
 //
 // RequestTrace is internally locked: batch items append spans from pool
 // worker threads while the session thread owns the trace.
@@ -38,14 +39,16 @@ class RequestTrace {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit RequestTrace(Clock::time_point epoch) : epoch_(epoch) {}
+  explicit RequestTrace(Clock::time_point epoch)
+      : epoch_(epoch), phase_end_(epoch) {}
 
   Clock::time_point epoch() const { return epoch_; }
 
+  /// Appends the depth-0 phase `name` from where the previous phase ended
+  /// (the epoch, for the first) to `end`.
+  void phase(const std::string& name, Clock::time_point end = Clock::now());
   void add(const std::string& name, Clock::time_point start,
            Clock::time_point end, int depth = 0);
-  void add_offset(const std::string& name, double start_ms, double dur_ms,
-                  int depth = 0);
 
   // Spans sorted by (start_ms, depth, name); batch workers may have appended
   // them out of order.
@@ -61,6 +64,7 @@ class RequestTrace {
  private:
   mutable std::mutex mutex_;
   Clock::time_point epoch_;
+  Clock::time_point phase_end_;  // where the next phase starts
   std::vector<TraceSpan> spans_;
 };
 

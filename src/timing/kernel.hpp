@@ -69,7 +69,7 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 inline constexpr double kVoltEps = 1e-6;
 inline constexpr double kDefaultPinCap = 6.0;  // fF, unmapped gates
 /// Capacitive load each driven primary-output port charges its driver
-/// with (fF).  The load rule and Dscale's lowering model both read it.
+/// with (fF), as the load rule charges it.
 inline constexpr double kOutputPortLoad = 25.0;
 
 /// Timing arc used for not-yet-mapped gates so the STA still runs.

@@ -7,6 +7,7 @@
 // socket tests boot a real Service and speak NDJSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -381,6 +382,36 @@ TEST(EcoSessionTest, UnknownCircuitFailsTheOpen) {
                         "unknown MCNC circuit 'not_a_circuit'");
   EXPECT_EQ(0u, registry.open_count());
   EXPECT_EQ(0u, registry.stats().opened);
+}
+
+/// A failed open still consumes the automatic name it reserved, so the
+/// next automatic name moves on.
+TEST(EcoSessionTest, FailedAutoNamedOpenConsumesItsName) {
+  const Library lib = build_compass_library();
+  DesignRegistry registry(&lib, DesignSessionConfig{});
+  EXPECT_THROW(registry.open(open_circuit("not_a_circuit")), ProtocolError);
+  EXPECT_EQ("d2", registry.open(open_circuit("b9")).at("design").as_string());
+}
+
+/// Two opens of one new name at once: both may build, exactly one
+/// publishes, and the other attaches to the published handle.
+TEST(EcoSessionTest, ConcurrentOpensOfOneNewNamePublishOnce) {
+  const Library lib = build_compass_library();
+  DesignRegistry registry(&lib, DesignSessionConfig{});
+  Json::Object replies[2];
+  std::thread other(
+      [&] { replies[1] = registry.open(open_circuit("b9", "race")); });
+  replies[0] = registry.open(open_circuit("b9", "race"));
+  other.join();
+  EXPECT_EQ(1u, registry.open_count());
+  EXPECT_NE(replies[0].at("attached").as_bool(),
+            replies[1].at("attached").as_bool());
+  EXPECT_EQ(2, std::max(replies[0].at("refs").as_int(),
+                        replies[1].at("refs").as_int()));
+  CloseDesignRequest close;
+  close.design = "race";
+  EXPECT_EQ(1, registry.close(close).at("refs").as_int());
+  EXPECT_EQ(0, registry.close(close).at("refs").as_int());
 }
 
 // ---- sweep ----

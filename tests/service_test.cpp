@@ -786,6 +786,53 @@ TEST_F(ServiceTest, TraceSpansTileTheRequest) {
     EXPECT_NE(span.find("name")->as_string(), "execute");
   client.send(R"({"type":"optimize","circuit":"x2","id":3})");
   EXPECT_EQ(client.recv().find("trace"), nullptr);
+
+  // A traced pipeline reoptimize runs the same phases, from parse to
+  // respond (its snapshot is the resolve phase), and they tile its wall
+  // time too.
+  client.send(R"({"type":"open_design","circuit":"x2","name":"traced"})");
+  ASSERT_EQ(client.recv().find("type")->as_string(), "design_opened");
+  client.send(
+      R"({"type":"reoptimize","design":"traced","algos":["cvs"],)"
+      R"("trace":true})");
+  const Json reopt = client.recv();
+  ASSERT_EQ(reopt.find("type")->as_string(), "reoptimized") << reopt.dump();
+  ASSERT_NE(reopt.find("trace"), nullptr);
+  double reopt_depth0 = 0.0;
+  std::set<std::string> reopt_phases;
+  for (const Json& span : reopt.find("trace")->as_array())
+    if (span.find("depth")->as_int() == 0) {
+      reopt_depth0 += span.find("dur_ms")->as_double();
+      reopt_phases.insert(span.find("name")->as_string());
+    }
+  for (const char* phase :
+       {"parse", "admission", "queue_wait", "resolve", "respond"})
+    EXPECT_TRUE(reopt_phases.count(phase)) << phase;
+  const double reopt_wall = reopt.find("wall_ms")->as_double();
+  EXPECT_NEAR(reopt_depth0, reopt_wall, std::max(0.05 * reopt_wall, 1.0));
+}
+
+/// Design pool jobs run through the one job path: open_design and each
+/// pipeline reoptimize record a queue wait, and a pipeline reoptimize
+/// probes the memory tier like an optimize does.
+TEST_F(ServiceTest, DesignJobsRecordQueueWaitAndCacheLookups) {
+  const char* kQueue = "dvsd_queue_wait_ms_count";
+  const char* kLookup = "dvsd_cache_lookup_ms_count{tier=\"memory\"}";
+  const std::string before = fetch_metrics();
+  Client client(port());
+  client.send(R"({"type":"open_design","circuit":"x2","name":"m"})");
+  ASSERT_EQ(client.recv().find("type")->as_string(), "design_opened");
+  for (const char* cache : {"miss", "hit"}) {
+    client.send(R"({"type":"reoptimize","design":"m","algos":["cvs"]})");
+    const Json reply = client.recv();
+    ASSERT_EQ(reply.find("type")->as_string(), "reoptimized")
+        << reply.dump();
+    EXPECT_EQ(reply.find("cache")->as_string(), cache);
+  }
+  const std::string after = fetch_metrics();
+  EXPECT_EQ(metric_value(after, kQueue) - metric_value(before, kQueue), 3.0);
+  EXPECT_EQ(metric_value(after, kLookup) - metric_value(before, kLookup),
+            2.0);
 }
 
 TEST_F(ServiceTest, BatchTraceStreamsPerItemSpans) {

@@ -105,10 +105,16 @@ TEST(ThreadPoolTest, StatsTrackPeakDepthAndTotalTasks) {
   // Hold both workers hostage so further submissions stack up and the
   // peak is deterministic.
   std::atomic<bool> release{false};
+  std::atomic<int> running{0};
   for (int i = 0; i < 2; ++i)
-    pool.submit([&release] {
+    pool.submit([&release, &running] {
+      running.fetch_add(1);
       while (!release.load()) std::this_thread::yield();
     });
+  // Both workers must be inside a hostage task before the trivial tasks
+  // arrive: a worker pops its own deque newest-first, so one that starts
+  // late would run a trivial task ahead of its hostage.
+  while (running.load() < 2) std::this_thread::yield();
   for (int i = 0; i < 6; ++i) pool.submit([] {});
   const ThreadPoolStats loaded = pool.stats();
   EXPECT_EQ(loaded.threads, 2);
