@@ -67,7 +67,7 @@ void BM_FullSta(benchmark::State& state) {
   state.SetLabel(net.name());
   state.counters["gates"] = net.num_gates();
 }
-BENCHMARK(BM_FullSta)->DenseRange(0, 5);
+BENCHMARK(BM_FullSta)->DenseRange(0, 7);
 
 /// One-shot compilation of Network + Library into the CSR/SoA form.
 void BM_TimingGraphCompile(benchmark::State& state) {
@@ -121,15 +121,18 @@ void BM_AntichainEdmondsKarp(benchmark::State& state) {
 }
 BENCHMARK(BM_AntichainEdmondsKarp)->DenseRange(0, 5);
 
+/// One CVS run from a fresh design (construction included).  CI's
+/// bench-cvs gate reads these rows against BM_FullSta on des and i10.
 void BM_Cvs(benchmark::State& state) {
   const dvs::Network& net = circuit(kByIndex[state.range(0)]);
   for (auto _ : state) {
     dvs::Design design(net, lib());
     benchmark::DoNotOptimize(dvs::run_cvs(design));
   }
+  state.SetLabel(net.name());
   state.counters["gates"] = net.num_gates();
 }
-BENCHMARK(BM_Cvs)->DenseRange(0, 3);
+BENCHMARK(BM_Cvs)->DenseRange(0, 7);
 
 void BM_Dscale(benchmark::State& state) {
   const dvs::Network& net = circuit(kByIndex[state.range(0)]);

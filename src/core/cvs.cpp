@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/contracts.hpp"
-#include "timing/graph.hpp"
 #include "timing/incremental.hpp"
 #include "timing/tcb.hpp"
 
@@ -29,24 +28,24 @@ CvsResult run_cvs(Design& design, const CvsOptions& options) {
   const Network& net = design.network();
   CvsResult result;
 
-  // The breadth-first traversal from the POs is realized as one reverse
-  // topological sweep: every gate is visited after all of its fanouts, so
-  // the cluster rung limit sees final decisions.  Timing is re-analyzed
-  // (incrementally) after each acceptance, which keeps every acceptance
-  // sound against the *committed* state (the paper's incurred-penalty
-  // check).
-  IncrementalSta timer(design.timing_context(), design.tspec());
-  const std::vector<NodeId>& order = design.timing_graph().topo_order();
+  // The breadth-first traversal from the POs is realized as the timer's
+  // reverse sweep: every gate is visited after all of its fanouts, so the
+  // cluster rung limit sees final decisions, and the sweep pulls the
+  // gate's required time just before the visit.  A lowering re-times
+  // loads and arrivals at once, which keeps every acceptance sound
+  // against the *committed* state (the paper's incurred-penalty check).
+  IncrementalSta timer(design.timing_context(), design.tspec(),
+                       IncrementalSta::ForwardOnly{});
   const Library& lib = design.library();
   // Per-rung delay factors, hoisted out of the per-gate loop.
   const std::vector<double> factor =
       lib.supplies().delay_factors(lib.voltage_model());
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Node& gate = net.node(*it);
-    if (!gate.is_gate() || gate.cell < 0) continue;
+  timer.sweep([&](NodeId id) {
+    const Node& gate = net.node(id);
+    if (!gate.is_gate() || gate.cell < 0) return;
     const SupplyId current = design.level(gate.id);
     const SupplyId limit = cluster_rung_limit(design, gate);
-    if (limit <= current) continue;  // already as deep as the cluster allows
+    if (limit <= current) return;  // already as deep as the cluster allows
     // Deepest feasible rung first: the furthest the slack lets this gate
     // drop.  For the dual ladder this is exactly the paper's single
     // high->low test.
@@ -63,8 +62,9 @@ CvsResult run_cvs(Design& design, const CvsOptions& options) {
       ++result.num_lowered;
       break;
     }
-  }
+  });
   result.tcb = compute_tcb(design.timing_context(), timer.result());
+  result.required_evaluations = timer.required_evaluations();
   return result;
 }
 

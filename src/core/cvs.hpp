@@ -7,6 +7,7 @@
 // dual ladder this is exactly the paper's high->low test.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/design.hpp"
@@ -22,6 +23,9 @@ struct CvsResult {
   int num_lowered = 0;  // gates lowered by this invocation
   /// Timing-critical boundary at exit (see timing/tcb.hpp).
   std::vector<NodeId> tcb;
+  /// Required times the run evaluated: one per live node, plus one per
+  /// lowering (a work count; see IncrementalSta::sweep).
+  std::int64_t required_evaluations = 0;
 };
 
 /// Runs CVS on the design's current state; safe to call repeatedly (Gscale

@@ -19,11 +19,30 @@ bool differs(const RiseFall& a, const RiseFall& b) {
          std::abs(a.fall - b.fall) > kEps;
 }
 
+/// Infinities must be equal; finite values agree within `eps`.
+bool agree(double a, double b, double eps) {
+  if (std::isinf(a) || std::isinf(b)) return a == b;
+  return std::abs(a - b) <= eps;
+}
+
+bool agree(const RiseFall& a, const RiseFall& b, double eps) {
+  return agree(a.rise, b.rise, eps) && agree(a.fall, b.fall, eps);
+}
+
 }  // namespace
 
 IncrementalSta::IncrementalSta(const TimingContext& ctx, double tspec)
     : ctx_(ctx), tspec_(tspec) {
   full_recompute();
+}
+
+IncrementalSta::IncrementalSta(const TimingContext& ctx, double tspec,
+                               ForwardOnly)
+    : ctx_(ctx), tspec_(tspec) {
+  bind();
+  timing_detail::walk_forward(*rules_, result_);
+  timing_detail::start_backward(result_, tspec_);
+  required_settled_ = false;
 }
 
 IncrementalSta::~IncrementalSta() = default;
@@ -34,16 +53,24 @@ StaResult IncrementalSta::analyze_full() const {
   return run_sta(ctx, tspec_);
 }
 
-void IncrementalSta::full_recompute() {
+void IncrementalSta::bind() {
   graph_ = &timing_detail::current_graph(ctx_, own_graph_);
-  result_ = analyze_full();
-  port_arrival_moved_ = false;
+  rules_ = std::make_unique<timing_detail::NodeRules>(ctx_, *graph_);
+  worst_stale_ = false;
+  required_settled_ = true;
   // A node sits on the worklist at most once, so the live count bounds
   // the heap.
   const std::size_t live = graph_->topo_order().size();
   queued_.assign(live, 0);
   heap_.clear();
   heap_.reserve(live);
+}
+
+void IncrementalSta::full_recompute() {
+  DVS_EXPECTS(visiting_ < 0);  // not from inside a sweep
+  bind();
+  result_ = analyze_full();
+  required_evals_ += static_cast<std::int64_t>(graph_->topo_order().size());
 }
 
 void IncrementalSta::recompute_load(const timing_detail::NodeRules& rules,
@@ -61,12 +88,17 @@ bool IncrementalSta::recompute_arrival(timing_detail::NodeRules& rules,
 
   const bool changed = differs(arr, result_.arrival[id]) ||
                        differs(lc_arr, result_.lc_arrival[id]);
-  // Even a sub-kEps wiggle on a port driver shifts the worst-arrival
-  // fold, so the staleness test is bitwise, not tolerance-based.
-  if (graph_->port_fanout_count(id) > 0 &&
-      (arr.rise != result_.arrival[id].rise ||
-       arr.fall != result_.arrival[id].fall))
-    port_arrival_moved_ = true;
+  if (graph_->port_fanout_count(id) > 0) {
+    // A max is exact in any order, so a later port arrival raises the
+    // running max to the bit; only the holder getting faster needs the
+    // fold over every port.
+    const double before = result_.arrival[id].max();
+    const double after = arr.max();
+    if (after > result_.worst_arrival)
+      result_.worst_arrival = after;
+    else if (after < before && before == result_.worst_arrival)
+      worst_stale_ = true;
+  }
   result_.arrival[id] = arr;
   result_.lc_arrival[id] = lc_arr;
   result_.slack[id] = timing_detail::slack(arr, result_.required[id]);
@@ -75,6 +107,7 @@ bool IncrementalSta::recompute_arrival(timing_detail::NodeRules& rules,
 
 bool IncrementalSta::recompute_required(timing_detail::NodeRules& rules,
                                         NodeId id) {
+  ++required_evals_;
   const RiseFall req = rules.required(id, result_);
   const bool changed = differs(req, result_.required[id]);
   result_.required[id] = req;
@@ -83,10 +116,8 @@ bool IncrementalSta::recompute_required(timing_detail::NodeRules& rules,
 }
 
 void IncrementalSta::refresh_worst_arrival() {
-  // The fold reads only port-driver arrivals; when none of them moved
-  // bitwise since the last refresh the cached value is exact already.
-  if (!port_arrival_moved_) return;
-  port_arrival_moved_ = false;
+  if (!worst_stale_) return;
+  worst_stale_ = false;
   result_.worst_arrival = 0.0;
   for (const OutputPort& port : ctx_.net->outputs())
     result_.worst_arrival =
@@ -97,9 +128,10 @@ void IncrementalSta::refresh_worst_arrival() {
 void IncrementalSta::on_node_changed(NodeId id) {
   const TimingGraph& g = *graph_;
   DVS_EXPECTS(ctx_.net->is_valid(id));
+  DVS_EXPECTS(visiting_ < 0 || id == visiting_);
   // Absorb a possible cell change before touching arcs or caps.
   g.sync_node(id);
-  timing_detail::NodeRules rules(ctx_, g);
+  timing_detail::NodeRules rules = *rules_;
   const std::vector<int>& ranks = g.topo_ranks();
   const std::vector<NodeId>& order = g.topo_order();
 
@@ -139,6 +171,15 @@ void IncrementalSta::on_node_changed(NodeId id) {
       for (NodeId fo : g.unique_fanouts(v)) seed_forward(fo);
   }
 
+  if (!required_settled_) {
+    // The arrival half only: the sweep pulls every other required time
+    // when it reaches it.  The visited node re-pulls, since a change can
+    // give it a converter.
+    if (id == visiting_) recompute_required(rules, id);
+    refresh_worst_arrival();
+    return;
+  }
+
   // Required sweep in reverse topological order.  Arc delays into the
   // changed nodes moved with their loads/supplies, so their fanins (and
   // transitively, everything upstream that notices) re-pull.
@@ -155,25 +196,33 @@ void IncrementalSta::on_node_changed(NodeId id) {
   refresh_worst_arrival();
 }
 
+void IncrementalSta::run_sweep(void (*visit)(void*, NodeId), void* state) {
+  DVS_EXPECTS(visiting_ < 0);  // sweeps do not nest
+  required_settled_ = false;
+  timing_detail::NodeRules rules = *rules_;
+  const std::vector<NodeId>& order = graph_->topo_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    visiting_ = *it;
+    recompute_required(rules, *it);
+    visit(state, *it);
+  }
+  visiting_ = -1;
+  required_settled_ = true;
+}
+
 bool IncrementalSta::matches_full_sta(double eps) const {
   const StaResult fresh = analyze_full();
-  const Network& net = *ctx_.net;
-  bool ok = true;
-  net.for_each_node([&](const Node& n) {
+  bool ok = agree(fresh.tspec, result_.tspec, eps) &&
+            agree(fresh.worst_arrival, result_.worst_arrival, eps);
+  ctx_.net->for_each_node([&](const Node& n) {
     const NodeId i = n.id;
-    if (std::abs(fresh.arrival[i].rise - result_.arrival[i].rise) > eps ||
-        std::abs(fresh.arrival[i].fall - result_.arrival[i].fall) > eps ||
-        std::abs(fresh.load[i] - result_.load[i]) > eps ||
-        std::abs(fresh.lc_load[i] - result_.lc_load[i]) > eps)
-      ok = false;
-    const bool both_inf = std::isinf(fresh.required[i].rise) &&
-                          std::isinf(result_.required[i].rise);
-    if (!both_inf &&
-        std::abs(fresh.required[i].rise - result_.required[i].rise) > eps)
-      ok = false;
+    ok = ok && agree(fresh.arrival[i], result_.arrival[i], eps) &&
+         agree(fresh.lc_arrival[i], result_.lc_arrival[i], eps) &&
+         agree(fresh.required[i], result_.required[i], eps) &&
+         agree(fresh.slack[i], result_.slack[i], eps) &&
+         agree(fresh.load[i], result_.load[i], eps) &&
+         agree(fresh.lc_load[i], result_.lc_load[i], eps);
   });
-  if (std::abs(fresh.worst_arrival - result_.worst_arrival) > eps)
-    ok = false;
   return ok;
 }
 

@@ -316,4 +316,8 @@ class NodeRules {
 /// Sizes r.load / lc_load / arrival / lc_arrival to the network.
 void walk_forward(NodeRules& rules, StaResult& r);
 
+/// Where the backward half starts: sets r.tspec (a negative `tspec` takes
+/// the worst arrival) and every required time and slack to +inf.
+void start_backward(StaResult& r, double tspec);
+
 }  // namespace dvs::timing_detail

@@ -52,6 +52,13 @@ void walk_forward(NodeRules& rules, StaResult& r) {
     r.worst_arrival = std::max(r.worst_arrival, r.arrival[port.driver].max());
 }
 
+void start_backward(StaResult& r, double tspec) {
+  r.tspec = tspec < 0.0 ? r.worst_arrival : tspec;
+  const std::size_t n = r.arrival.size();
+  r.required.assign(n, RiseFall{kInf, kInf});
+  r.slack.assign(n, kInf);
+}
+
 }  // namespace timing_detail
 
 RiseFall arc_delay(const Library& lib, const Cell& cell, int pin, double vdd,
@@ -87,13 +94,10 @@ StaResult run_sta(const TimingContext& ctx, double tspec) {
   timing_detail::NodeRules rules(ctx, timing_detail::current_graph(ctx, own));
   StaResult r;
   timing_detail::walk_forward(rules, r);
-  r.tspec = tspec < 0.0 ? r.worst_arrival : tspec;
+  timing_detail::start_backward(r, tspec);
 
   // Backward in rank order: every fanout of a node is settled before the
   // node pulls from it.
-  const int n = ctx.net->size();
-  r.required.assign(n, RiseFall{timing_detail::kInf, timing_detail::kInf});
-  r.slack.assign(n, timing_detail::kInf);
   const std::vector<NodeId>& order = rules.graph().topo_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     r.required[*it] = rules.required(*it, r);

@@ -3,7 +3,8 @@
 // every allocation the library makes in this process):
 //   - IncrementalSta::on_node_changed allocates nothing once the engine
 //     is built: its worklists and queued marks are sized per compiled
-//     graph, not per update;
+//     graph, not per update; nor does a reverse sweep with CVS-shaped
+//     lowerings;
 //   - one min_weight_separator / max_weight_antichain solve makes a
 //     bounded number of allocations however many arcs it lays out.
 #include <gtest/gtest.h>
@@ -71,6 +72,34 @@ TEST(KernelAllocations, IncrementalUpdatesAllocateNothing) {
     if (step > 0) total += made;  // step 0 is the first call
   }
   EXPECT_EQ(total, 0);
+  EXPECT_TRUE(timer.matches_full_sta());
+}
+
+TEST(KernelAllocations, SweepAllocatesNothing) {
+  const Library lib = build_compass_library();
+  Design design(build_mcnc_circuit(lib, *find_mcnc("C7552")), lib);
+  IncrementalSta timer(design.timing_context(), design.tspec(),
+                       IncrementalSta::ForwardOnly{});
+  const SupplyId deepest = design.supplies().deepest();
+  int lowered = 0;
+  const long made = allocations_in([&] {
+    timer.sweep([&](NodeId id) {
+      // CVS's shape: drop a gate whose gate fanouts are all low already,
+      // when its slack leaves room.
+      const Node& gate = design.network().node(id);
+      if (!gate.is_gate() || gate.cell < 0) return;
+      for (NodeId fo : gate.fanouts)
+        if (design.network().node(fo).is_gate() &&
+            design.level(fo) != deepest)
+          return;
+      if (timer.result().slack[id] < 0.3) return;
+      design.set_level(id, deepest);
+      timer.on_node_changed(id);
+      ++lowered;
+    });
+  });
+  EXPECT_EQ(made, 0);
+  EXPECT_GT(lowered, 0);
   EXPECT_TRUE(timer.matches_full_sta());
 }
 

@@ -46,21 +46,46 @@ TEST(MatrixViews, SweepReply) {
                 "sweep reply");
 }
 
-TEST(MatrixViews, PipelineMatrixDocument) {
+/// The pipeline-matrix document over x2 and b9 on `supplies` (empty: the
+/// library's default ladder), without its clock fields.
+std::string pipeline_dump(const std::vector<double>& supplies,
+                          const std::vector<std::string>& specs) {
   SuiteOptions options;
   options.circuits = {"x2", "b9"};
   options.flow.activity.num_vectors = 512;
   options.num_threads = 2;
-  const PipelineSuiteReport report = run_pipeline_suite(
-      options,
-      {"cvs | gscale(area_budget=0.05) | dscale", "dscale(selector=greedy)"});
+  options.supplies = supplies;
+  const PipelineSuiteReport report = run_pipeline_suite(options, specs);
   Json doc = Json::parse(report.to_json());
   doc.as_object().erase("wall_seconds");
   for (Json& cell : doc.as_object().at("cells").as_array())
     for (Json& pass : cell.as_object().at("passes").as_array())
       pass.as_object().erase("cpu_ms");
-  expect_pinned(0x35c1a6c5ee35493cULL, doc.dump(),
+  return doc.dump();
+}
+
+TEST(MatrixViews, PipelineMatrixDocument) {
+  expect_pinned(0x35c1a6c5ee35493cULL,
+                pipeline_dump({}, {"cvs | gscale(area_budget=0.05) | dscale",
+                                   "dscale(selector=greedy)"}),
                 "pipeline matrix document");
+}
+
+// CVS over a design that already carries converters (after Dscale) and
+// resized cells (after Gscale).
+const std::vector<std::string> kCvsOverOptimized = {
+    "dscale | cvs", "dscale | gscale", "gscale | cvs | dscale"};
+
+TEST(MatrixViews, CvsOverOptimizedDesignsTwoRungs) {
+  expect_pinned(0x9e6914f42ebec877ULL,
+                pipeline_dump({5.0, 4.3}, kCvsOverOptimized),
+                "2-rung CVS-over-optimized pipeline matrix");
+}
+
+TEST(MatrixViews, CvsOverOptimizedDesignsFourRungs) {
+  expect_pinned(0x3e3b72757007c463ULL,
+                pipeline_dump({5.0, 4.6, 4.2, 3.8}, kCvsOverOptimized),
+                "4-rung CVS-over-optimized pipeline matrix");
 }
 
 /// The suite report as BENCH_suite.json carries it plus every row as the

@@ -3,16 +3,20 @@
 // deduplication, per-arc library resolution.  The randomized equivalence
 // suites (timing_graph_test, incremental_vs_full_test) require the
 // kernel's full walk and load computation to reproduce these bit-for-bit.
+// Also the eager CVS loop, the oracle for run_cvs's reverse sweep.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 
+#include "core/cvs.hpp"
 #include "netlist/topo.hpp"
 #include "support/contracts.hpp"
+#include "timing/incremental.hpp"
 #include "timing/kernel.hpp"
 #include "timing/loads.hpp"
 #include "timing/sta.hpp"
+#include "timing/tcb.hpp"
 
 namespace dvs {
 
@@ -188,6 +192,43 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
     r.slack[v.id] = std::min(q.rise - a.rise, q.fall - a.fall);
   });
   return r;
+}
+
+/// CVS as an eager loop: a full-start timer, a reverse topological walk
+/// over the design's graph, and the event-driven required-time flood
+/// after every lowering.  run_cvs must make the same decisions.
+inline CvsResult run_cvs_reference(Design& design,
+                                   const CvsOptions& options = {}) {
+  const Network& net = design.network();
+  const Library& lib = design.library();
+  CvsResult result;
+  IncrementalSta timer(design.timing_context(), design.tspec());
+  const std::vector<NodeId>& order = design.timing_graph().topo_order();
+  const std::vector<double> factor =
+      lib.supplies().delay_factors(lib.voltage_model());
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const Node& gate = net.node(*it);
+    if (!gate.is_gate() || gate.cell < 0) continue;
+    const SupplyId current = design.level(gate.id);
+    SupplyId limit = design.supplies().deepest();
+    for (NodeId fo : gate.fanouts)
+      if (net.node(fo).is_gate()) limit = std::min(limit, design.level(fo));
+    if (limit <= current) continue;
+    for (SupplyId target = limit; target > current; --target) {
+      const StaResult& sta = timer.result();
+      const double increase = worst_delay_increase(
+          factor[current], factor[target], lib.cell(gate.cell),
+          sta.load[gate.id]);
+      if (increase + options.slack_margin > sta.slack[gate.id]) continue;
+      design.set_level(gate.id, target);
+      timer.on_node_changed(gate.id);
+      ++result.num_lowered;
+      break;
+    }
+  }
+  result.tcb = compute_tcb(design.timing_context(), timer.result());
+  result.required_evaluations = timer.required_evaluations();
+  return result;
 }
 
 }  // namespace dvs
