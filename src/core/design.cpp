@@ -136,7 +136,7 @@ void Design::adopt_activity(Activity activity) {
   activity_valid_ = true;
 }
 
-PowerBreakdown Design::run_power() const {
+PowerContext Design::power_context() const {
   PowerContext ctx;
   ctx.net = &net_;
   ctx.lib = lib_;
@@ -145,7 +145,13 @@ PowerBreakdown Design::run_power() const {
   ctx.alpha01 = activity().alpha01;
   ctx.freq_mhz = freq_mhz_;
   ctx.graph = &timing_graph();
-  return compute_power(ctx);
+  ctx.node_level = levels_;
+  ctx.original_cells = original_cells_;
+  return ctx;
+}
+
+PowerBreakdown Design::run_power() const {
+  return compute_power(power_context());
 }
 
 double Design::total_area() const {

@@ -99,6 +99,10 @@ class Design {
   /// and recomputes as usual.
   void adopt_activity(Activity activity);
 
+  /// The power model's view of the current state (spans into this
+  /// Design, valid until its next structural edit or relocation); an
+  /// EvalLedger built over it keeps power, area and gate counts current.
+  PowerContext power_context() const;
   PowerBreakdown run_power() const;
 
   /// Total cell area including virtual level converters (um^2).

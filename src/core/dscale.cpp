@@ -4,6 +4,7 @@
 
 #include "graph/antichain.hpp"
 #include "graph/reachability.hpp"
+#include "power/eval_ledger.hpp"
 #include "support/contracts.hpp"
 #include "support/units.hpp"
 #include "timing/graph.hpp"
@@ -207,11 +208,18 @@ struct Candidate {
 /// it up, but a converter can migrate onto a still-deep fanin, so timing
 /// is re-verified per raise (incrementally: each trial touches one gate's
 /// neighborhood); the fixpoint loop then reconsiders the migrated
-/// boundary.
+/// boundary.  Each trial is scored on an evaluation ledger, whose total
+/// equals a full run_power's bit for bit.
 int trim_unprofitable_boundary(Design& design, IncrementalSta& timer) {
   const Network& net = design.network();
+  EvalLedger ledger(design.power_context());
+  const auto move = [&](NodeId id, SupplyId level) {
+    design.set_level(id, level);
+    timer.on_node_changed(id);
+    ledger.on_node_changed(id);
+  };
   int raised_total = 0;
-  double power = design.run_power().total();
+  double power = ledger.totals().power.total();
   for (bool changed = true; changed;) {
     changed = false;
     std::vector<NodeId> boundary;
@@ -228,17 +236,15 @@ int trim_unprofitable_boundary(Design& design, IncrementalSta& timer) {
         if (sink.is_gate()) raised = std::min(raised, design.level(fo));
       }
       if (raised == previous) continue;  // boundary moved under the loop
-      design.set_level(id, raised);
-      timer.on_node_changed(id);
-      const double trial = design.run_power().total();
+      move(id, raised);
+      const double trial = ledger.totals().power.total();
       if (trial < power - 1e-12 &&
           timer.result().meets_constraint(1e-9)) {
         power = trial;
         ++raised_total;
         changed = true;
       } else {
-        design.set_level(id, previous);
-        timer.on_node_changed(id);
+        move(id, previous);
       }
     }
   }

@@ -6,10 +6,43 @@
 
 namespace dvs {
 
+NodePower node_power(const PowerContext& ctx, const Node& node,
+                     double direct_load, double lc_load, int lc_pins) {
+  NodePower t;
+  if (node.is_constant()) return t;  // never switches
+  // Primary-input nets are charged to the upstream block that drives
+  // them: no Vdd choice inside this design can change their energy, so
+  // counting them would only dilute the improvement percentages.
+  if (node.is_input()) return t;
+  const Library& lib = *ctx.lib;
+  const double a = ctx.alpha01[node.id];
+  const double vdd = ctx.node_vdd[node.id];
+  const double v2 = vdd * vdd;
+  t.switching =
+      a * ctx.freq_mhz * direct_load * v2 * kSwitchPowerToMicrowatt;
+  if (node.is_gate() && node.cell >= 0) {
+    const Cell& cell = lib.cell(node.cell);
+    t.internal = a * ctx.freq_mhz * cell.internal_cap * v2 *
+                 kSwitchPowerToMicrowatt;
+    t.leakage = cell.leakage * lib.voltage_model().leakage_factor(vdd);
+  }
+  if (lc_pins > 0) {
+    DVS_ASSERT(lib.level_converter() >= 0);
+    const Cell& lc_cell = lib.cell(lib.level_converter());
+    // The converter's output stage and internal node run at Vdd_high;
+    // it switches as often as its driver does.
+    const double vdd_high = lib.vdd_high();
+    const double vh2 = vdd_high * vdd_high;
+    t.converter = a * ctx.freq_mhz * (lc_load + lc_cell.internal_cap) *
+                      vh2 * kSwitchPowerToMicrowatt +
+                  lc_cell.leakage;
+  }
+  return t;
+}
+
 PowerBreakdown compute_power(const PowerContext& ctx) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const Network& net = *ctx.net;
-  const Library& lib = *ctx.lib;
   const int n = net.size();
   DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
   DVS_EXPECTS(static_cast<int>(ctx.alpha01.size()) >= n);
@@ -22,53 +55,19 @@ PowerBreakdown compute_power(const PowerContext& ctx) {
   tctx.graph = ctx.graph;
   const NodeLoads loads = compute_loads(tctx);
 
+  // Absent terms are +0.0, and adding +0.0 leaves a non-negative sum's
+  // bits alone, so charging every node matches skipping the uncharged.
   PowerBreakdown p;
   p.node_power.assign(n, 0.0);
-  const double vdd_high = lib.vdd_high();
-  const Cell* lc_cell =
-      lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
-
   net.for_each_node([&](const Node& node) {
-    if (node.is_constant()) return;  // never switches
-    // Primary-input nets are charged to the upstream block that drives
-    // them: no Vdd choice inside this design can change their energy, so
-    // counting them would only dilute the improvement percentages.
-    if (node.is_input()) return;
-    const double a = ctx.alpha01[node.id];
-    const double vdd = ctx.node_vdd[node.id];
-    const double v2 = vdd * vdd;
-    double mine = 0.0;
-
-    const double sw = a * ctx.freq_mhz * loads.direct[node.id] * v2 *
-                      kSwitchPowerToMicrowatt;
-    p.switching += sw;
-    mine += sw;
-
-    if (node.is_gate() && node.cell >= 0) {
-      const Cell& cell = lib.cell(node.cell);
-      const double internal = a * ctx.freq_mhz * cell.internal_cap * v2 *
-                              kSwitchPowerToMicrowatt;
-      const double leak =
-          cell.leakage * lib.voltage_model().leakage_factor(vdd);
-      p.internal += internal;
-      p.leakage += leak;
-      mine += internal + leak;
-    }
-
-    if (loads.lc_fanout_pins[node.id] > 0) {
-      DVS_ASSERT(lc_cell != nullptr);
-      // The converter's output stage and internal node run at Vdd_high;
-      // it switches as often as its driver does.
-      const double vh2 = vdd_high * vdd_high;
-      const double conv =
-          a * ctx.freq_mhz *
-              (loads.lc[node.id] + lc_cell->internal_cap) * vh2 *
-              kSwitchPowerToMicrowatt +
-          lc_cell->leakage;
-      p.converter += conv;
-      mine += conv;
-    }
-    p.node_power[node.id] = mine;
+    const NodeId id = node.id;
+    const NodePower t = node_power(ctx, node, loads.direct[id], loads.lc[id],
+                                   loads.lc_fanout_pins[id]);
+    p.switching += t.switching;
+    p.internal += t.internal;
+    p.converter += t.converter;
+    p.leakage += t.leakage;
+    p.node_power[id] = t.switching + (t.internal + t.leakage) + t.converter;
   });
   return p;
 }

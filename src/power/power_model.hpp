@@ -25,6 +25,20 @@ struct PowerContext {
   double freq_mhz = 20.0;           // the paper's 20 MHz random simulation
   /// Optional compiled graph for the load computation's flat fast path.
   const TimingGraph* graph = nullptr;
+  /// Read only by EvalLedger's gate counts (compute_power ignores them):
+  /// the rung per node — a gate below the top rung is low — and the cell
+  /// each gate started with (-1 = none) — a gate on another cell is
+  /// resized.
+  std::span<const SupplyId> node_level;
+  std::span<const int> original_cells;
+};
+
+/// One node's share of each power category (uW).
+struct NodePower {
+  double switching = 0.0;
+  double internal = 0.0;
+  double converter = 0.0;
+  double leakage = 0.0;
 };
 
 struct PowerBreakdown {
@@ -40,6 +54,16 @@ struct PowerBreakdown {
     return switching + internal + converter + leakage;
   }
 };
+
+/// The per-node power rule, which compute_power and EvalLedger both
+/// call: the node's output net switching at its own supply into
+/// `direct_load`, a mapped gate's internal node and leakage, and — when
+/// `lc_pins` fanout pins run through its level converter — the
+/// converter's switching at Vdd_high into `lc_load` plus its leakage.
+/// The loads are the node's split under the timing kernel's load rule.
+/// Every term is non-negative; inputs and constants get all zeros.
+NodePower node_power(const PowerContext& ctx, const Node& node,
+                     double direct_load, double lc_load, int lc_pins);
 
 PowerBreakdown compute_power(const PowerContext& ctx);
 

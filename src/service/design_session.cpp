@@ -5,6 +5,7 @@
 
 #include "core/job.hpp"
 #include "core/sweep_matrix.hpp"
+#include "power/eval_ledger.hpp"
 #include "support/thread_pool.hpp"
 
 namespace dvs {
@@ -22,11 +23,10 @@ const char* const kDraining = "draining: design sessions are closing";
 
 /// One open design: the loaded Design plus everything pinned at open
 /// time so every later verb re-derives nothing — the job it was resolved
-/// from (effective library, circuit seed), the frozen tspec, the original
-/// cells (the sizing baseline "resized" counts against, immune to
-/// full-evaluate Design rebuilds), and the maintained incremental timer.
-/// Published complete by open; from then on `mutex` serializes verbs on
-/// this design, and refs / last_used / bytes / edits are guarded by the
+/// from (effective library, circuit seed), the frozen tspec — and the
+/// maintained incremental timer and evaluation ledger.  Published
+/// complete by open; from then on `mutex` serializes verbs on this
+/// design, and refs / last_used / bytes / edits are guarded by the
 /// registry mutex.
 struct DesignRegistry::Handle {
   std::mutex mutex;
@@ -48,11 +48,15 @@ struct DesignRegistry::Handle {
   /// context spans point into `design`'s vectors — which is why any
   /// edit that resizes them must reset it first.
   std::unique_ptr<IncrementalSta> ista;
+  /// Power, area and gate counts kept beside the timer: built by the
+  /// first incremental evaluation (not by the arming full one, so it
+  /// stays out of the set-up's memory peak), rebuilt in place by a full
+  /// evaluation, dropped with the timer by structural edits.
+  std::optional<EvalLedger> ledger;
   bool structural_dirty = false;
-
-  /// Sizing baseline per node id (-1 = not an original gate; inserted
-  /// level converters land here).
-  std::vector<int> original_cells;
+  /// The byte estimate's inputs moved (a structural edit, or the timer
+  /// or ledger appeared or went): the next edit re-estimates.
+  bool bytes_stale = false;
 
   /// Lazy name -> id map for string gate addresses, rebuilt when the
   /// network's structural version moves.
@@ -64,25 +68,14 @@ struct DesignRegistry::Handle {
   Clock::time_point last_used{};
   std::size_t bytes = 0;
   std::uint64_t edits = 0;
-
-  int count_resized() const {
-    int resized = 0;
-    design->network().for_each_gate([&](const Node& n) {
-      const int original = n.id < static_cast<NodeId>(original_cells.size())
-                               ? original_cells[n.id]
-                               : -1;
-      if (original >= 0 && n.cell != original) ++resized;
-    });
-    return resized;
-  }
 };
 
 namespace {
 
 /// Resident-footprint estimate of one handle: network storage, the
-/// Design's per-node vectors, and ~64 B/node for the compiled timing
-/// graph + activity + STA state.  An estimate is enough — the budget
-/// exists to bound memory, not to account it to the byte.
+/// Design's per-node vectors, ~64 B/node for the compiled timing graph +
+/// activity, and the timer's and ledger's arrays.  An estimate is enough
+/// — the budget exists to bound memory, not to account it to the byte.
 std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   const Network& net = handle.design->network();
   std::size_t bytes = sizeof(DesignRegistry::Handle);
@@ -96,6 +89,7 @@ std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
   if (handle.ista)
     bytes += static_cast<std::size_t>(net.size()) *
              (3 * sizeof(RiseFall) + 3 * sizeof(double));
+  if (handle.ledger) bytes += handle.ledger->bytes();
   if (handle.job.custom_lib) bytes += 1u << 16;  // library copy, roughly
   return bytes;
 }
@@ -137,10 +131,10 @@ NodeId resolve_gate(DesignRegistry::Handle& handle, const Json& gate) {
 }
 
 /// Applies one edit to the handle's design (handle mutex held).  Point
-/// edits notify the incremental timer; structural edits resync the
-/// Design's vectors and drop the timer (its spans just went stale).
-void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
-                bool* structural) {
+/// edits notify the incremental timer and the ledger; structural edits
+/// resync the Design's vectors and drop both (their spans just went
+/// stale).
+void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit) {
   Design& design = *handle.design;
   Network& net = design.network();
   const Library& lib = handle.job.library();
@@ -148,6 +142,7 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
   const Node& node = net.node(id);
   const auto notify = [&] {
     if (handle.ista) handle.ista->on_node_changed(id);
+    if (handle.ledger) handle.ledger->on_node_changed(id);
   };
   const auto set_cell = [&](int cell) {
     net.set_cell(id, cell);
@@ -155,10 +150,10 @@ void apply_edit(DesignRegistry::Handle& handle, const DesignEdit& edit,
   };
   const auto resync = [&] {
     design.sync_with_network();
-    handle.original_cells.resize(net.size(), -1);
     handle.ista.reset();
+    handle.ledger.reset();
     handle.structural_dirty = true;
-    *structural = true;
+    handle.bytes_stale = true;
   };
   switch (edit.op) {
     case DesignEdit::Op::kRung: {
@@ -252,10 +247,6 @@ std::shared_ptr<DesignRegistry::Handle> build_handle(
       make_flow_design(mapped, effective, handle->base_flow, handle->tspec));
   handle->design->adopt_activity(std::move(init.activity));
   job.mapped.reset();  // the Design holds its own copy
-  const Network& net = handle->design->network();
-  handle->original_cells.assign(net.size(), -1);
-  net.for_each_gate(
-      [&](const Node& n) { handle->original_cells[n.id] = n.cell; });
   handle->bytes = estimate_bytes(*handle);
   return handle;
 }
@@ -428,11 +419,10 @@ Json::Object DesignRegistry::open(const OpenDesignRequest& request) {
 Json::Object DesignRegistry::edit(const EditRequest& request) {
   std::shared_ptr<Handle> handle = acquire(request.design);
   std::lock_guard<std::mutex> lock(handle->mutex);
-  bool structural = false;
   int applied = 0;
   try {
     for (const DesignEdit& e : request.edits) {
-      apply_edit(*handle, e, &structural);
+      apply_edit(*handle, e);
       ++applied;
     }
   } catch (const ProtocolError& e) {
@@ -441,12 +431,20 @@ Json::Object DesignRegistry::edit(const EditRequest& request) {
     throw ProtocolError("edit " + std::to_string(applied) + ": " +
                         e.what());
   }
-  const std::size_t bytes = estimate_bytes(*handle);
+  // A point edit moves nothing the estimate reads, so only a stale
+  // estimate walks the design again.
+  std::optional<std::size_t> bytes;
+  if (handle->bytes_stale) {
+    bytes = estimate_bytes(*handle);
+    handle->bytes_stale = false;
+  }
   {
     std::lock_guard<std::mutex> registry_lock(mutex_);
     stats_.edits += static_cast<std::uint64_t>(applied);
-    stats_.resident_bytes += bytes - handle->bytes;
-    handle->bytes = bytes;
+    if (bytes) {
+      stats_.resident_bytes += *bytes - handle->bytes;
+      handle->bytes = *bytes;
+    }
     handle->edits += static_cast<std::uint64_t>(applied);
   }
   Json::Object fields;
@@ -480,9 +478,9 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   }
 
   // Evaluate mode: the ECO hot path.  Incremental reads the maintained
-  // timer; full rebuilds a fresh Design from the current network — i.e.
-  // exactly the stateless computation — and then re-arms the timer for
-  // the next incremental round.
+  // timer and ledger; full rebuilds a fresh Design from the current
+  // network — i.e. exactly the stateless computation — and then re-arms
+  // the timer for the next incremental round.
   std::lock_guard<std::mutex> lock(handle->mutex);
   Design& design = *handle->design;
   const Network& net = design.network();
@@ -501,6 +499,11 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
 
   double power = 0.0;
   double arrival = 0.0;
+  double area = 0.0;
+  int low = 0;
+  int level_converters = 0;
+  int resized = 0;
+  handle->bytes_stale |= !handle->ista;  // a timer appears either way
   if (full) {
     Design fresh = make_flow_design(net, handle->job.library(),
                                     handle->base_flow, handle->tspec);
@@ -509,17 +512,32 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
         fresh.set_level(id, design.level(id));
     power = fresh.run_power().total();
     arrival = fresh.run_timing().worst_arrival;
+    area = design.total_area();
+    low = design.count_low();
+    level_converters = design.count_lcs();
+    resized = design.count_resized();
     // Re-arm the session: timer rebuilt over the session design (same
     // state the fresh evaluation just measured), structural debt paid.
     handle->ista = std::make_unique<IncrementalSta>(design.timing_context(),
                                                     handle->tspec);
+    if (handle->ledger) handle->ledger->rebuild();
     handle->structural_dirty = false;
   } else {
     if (!handle->ista)
       handle->ista = std::make_unique<IncrementalSta>(
           design.timing_context(), handle->tspec);
-    power = design.run_power().total();
+    if (!handle->ledger) {
+      handle->ledger.emplace(design.power_context());
+      handle->bytes_stale = true;
+    }
+    const EvalLedger& ledger = *handle->ledger;
+    const EvalLedger::Totals totals = ledger.totals();
+    power = totals.power.total();
     arrival = handle->ista->result().worst_arrival;
+    area = totals.area;
+    low = ledger.low();
+    level_converters = ledger.level_converters();
+    resized = ledger.resized();
   }
   if (trace) trace->phase("evaluate");
 
@@ -530,10 +548,10 @@ DesignReoptimizeResult DesignRegistry::reoptimize(
   out.fields["arrival_ns"] = Json(arrival);
   out.fields["slack_ns"] = Json(handle->tspec - arrival);
   out.fields["meets_tspec"] = Json(arrival <= handle->tspec + 1e-9);
-  out.fields["area_um2"] = Json(design.total_area());
-  out.fields["low"] = Json(design.count_low());
-  out.fields["level_converters"] = Json(design.count_lcs());
-  out.fields["resized"] = Json(handle->count_resized());
+  out.fields["area_um2"] = Json(area);
+  out.fields["low"] = Json(low);
+  out.fields["level_converters"] = Json(level_converters);
+  out.fields["resized"] = Json(resized);
   out.fields["org_power_uw"] = Json(handle->org_power_uw);
   out.fields["improve_pct"] =
       Json(improvement_pct(handle->org_power_uw, power));

@@ -5,9 +5,10 @@
 // A handle owns a loaded Design (network + supply assignment), the job
 // it was resolved from (effective library, circuit seed — the service's
 // one resolver, resolve_job, builds it), the frozen tspec, and a
-// maintained IncrementalSta so a point edit (rung, cell swap, resize)
-// re-evaluates in O(affected) instead of re-simulating the world.
-// Structural edits (level-converter insertion/removal) drop the timer and
+// maintained IncrementalSta plus an EvalLedger beside it, so a point
+// edit (rung, cell swap, resize) re-evaluates timing, power, area and
+// gate counts in O(affected) instead of re-simulating the world.
+// Structural edits (level-converter insertion/removal) drop both and
 // mark the handle dirty; the next reoptimize recompiles the timing graph
 // from scratch — the incremental-vs-recompile decision rule is
 // structural_version-exact, never heuristic (DESIGN.md).

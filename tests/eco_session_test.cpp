@@ -201,6 +201,54 @@ TEST(EcoSessionTest, StructuralEditsForceFullRecompile) {
                 .as_string());
 }
 
+/// The resident-byte estimate follows the timer and the ledger.  A full
+/// evaluate arms the timer; the first incremental evaluate builds the
+/// ledger beside it; each shows up at the next edit.  A structural edit
+/// drops both; the full evaluate it forces re-arms the timer, and the
+/// next incremental evaluate builds a fresh ledger that is exact.
+TEST(EcoSessionTest, ByteEstimateFollowsTheTimerAndTheLedger) {
+  const Library lib = build_compass_library();
+  DesignRegistry registry(&lib, DesignSessionConfig{});
+  registry.open(open_circuit("b9", "eco"));
+  const std::int64_t gate = find_gate(registry, "eco");
+  const auto bytes_after_edits = [&] {  // two point edits, state restored
+    registry.edit(one_edit("eco", rung_edit(gate, 1)));
+    registry.edit(one_edit("eco", rung_edit(gate, 0)));
+    return registry.stats().resident_bytes;
+  };
+  const std::size_t bare = bytes_after_edits();
+  evaluate(registry, "eco", "full");
+  const std::size_t timed = bytes_after_edits();
+  EXPECT_GT(timed, bare);
+  evaluate(registry, "eco", "incremental");
+  const std::size_t ledgered = bytes_after_edits();
+  EXPECT_GT(ledgered, timed);
+  evaluate(registry, "eco", "full");  // rebuilds the ledger in place
+  EXPECT_EQ(ledgered, bytes_after_edits());
+
+  DesignEdit lc;
+  lc.op = DesignEdit::Op::kInsertLc;
+  lc.gate = Json(gate);
+  registry.edit(one_edit("eco", lc));
+  const std::size_t dropped = registry.stats().resident_bytes;
+  EXPECT_GT(dropped, bare);   // one more node
+  EXPECT_LT(dropped, timed);  // no timer, no ledger
+  EXPECT_EQ("full", evaluate(registry, "eco", "auto").at("mode").as_string());
+  const std::size_t rearmed = bytes_after_edits();
+  EXPECT_GT(rearmed, dropped);
+  evaluate(registry, "eco", "incremental");
+  EXPECT_GT(bytes_after_edits(), rearmed);
+
+  registry.edit(one_edit("eco", rung_edit(gate, 1)));
+  const Json::Object incremental = evaluate(registry, "eco", "incremental");
+  const Json::Object full = evaluate(registry, "eco", "full");
+  for (const char* key : {"power_uw", "arrival_ns", "area_um2"})
+    EXPECT_EQ(incremental.at(key).as_double(), full.at(key).as_double())
+        << key;
+  for (const char* key : {"low", "level_converters", "resized"})
+    EXPECT_EQ(incremental.at(key).as_int(), full.at(key).as_int()) << key;
+}
+
 // ---- edit semantics ----
 
 TEST(EcoSessionTest, EditErrorsAreIndexedAndPartialApplicationSticks) {

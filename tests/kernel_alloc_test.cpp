@@ -5,6 +5,7 @@
 //     is built: its worklists and queued marks are sized per compiled
 //     graph, not per update; nor does a reverse sweep with CVS-shaped
 //     lowerings;
+//   - nor does an EvalLedger update beside it, or reading its totals;
 //   - one min_weight_separator / max_weight_antichain solve makes a
 //     bounded number of allocations however many arcs it lays out.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "benchgen/mcnc.hpp"
 #include "core/design.hpp"
 #include "flow_instances.hpp"
+#include "power/eval_ledger.hpp"
 #include "support/rng.hpp"
 #include "timing/incremental.hpp"
 
@@ -101,6 +103,41 @@ TEST(KernelAllocations, SweepAllocatesNothing) {
   EXPECT_EQ(made, 0);
   EXPECT_GT(lowered, 0);
   EXPECT_TRUE(timer.matches_full_sta());
+}
+
+TEST(KernelAllocations, LedgerUpdatesAllocateNothing) {
+  const Library lib = build_compass_library();
+  Design design(build_mcnc_circuit(lib, *find_mcnc("C7552")), lib);
+  IncrementalSta timer(design.timing_context(), design.tspec());
+  EvalLedger ledger(design.power_context());
+  std::vector<NodeId> gates;
+  design.network().for_each_gate([&](const Node& g) {
+    if (g.cell >= 0) gates.push_back(g.id);
+  });
+
+  Rng rng(7553);
+  long total = 0;
+  double power = 0.0;
+  for (int step = 0; step < 200; ++step) {
+    const NodeId id = gates[rng.next_below(gates.size())];
+    const int cell = design.network().node(id).cell;
+    const int resized = rng.next_bool() ? lib.downsize(cell) : -1;
+    if (resized >= 0)
+      design.network().set_cell(id, resized);
+    else
+      design.set_level(id, design.level(id) == kTopRung
+                               ? design.supplies().deepest()
+                               : kTopRung);
+    timer.on_node_changed(id);
+    total += allocations_in([&] {
+      ledger.on_node_changed(id);
+      const EvalLedger::Totals totals = ledger.totals();
+      power += totals.power.total() + totals.area;
+    });
+  }
+  EXPECT_EQ(total, 0);
+  EXPECT_GT(power, 0.0);
+  EXPECT_EQ(ledger.totals().power.total(), design.run_power().total());
 }
 
 class SolveAllocations : public ::testing::TestWithParam<int> {};
