@@ -256,42 +256,9 @@ void BM_IncrementalFlip(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalFlip)->DenseRange(0, 5);
 
-/// N candidate rung assignments scored by ONE lane walk.  The second
-/// argument is the lane count, swept over {1, 4, 8, 16} so `--json`
-/// emits one row per width: the lanes=1 row is the scalar
-/// one-candidate-per-walk baseline, and per-candidate cost at width N
-/// is real_time / N (the `lanes` counter rides along in the JSON).
-/// CI's bench-lanes gate reads these rows on des/i10/C7552.
-void BM_MultiLaneSta(benchmark::State& state) {
-  const dvs::Network& net = circuit(kByIndex[state.range(0)]);
-  dvs::Design design(net, lib());
-  const int lanes = static_cast<int>(state.range(1));
-  std::vector<dvs::NodeId> gates;
-  net.for_each_gate([&](const dvs::Node& g) {
-    if (g.cell >= 0) gates.push_back(g.id);
-  });
-  const dvs::SupplyId deep = design.supplies().deepest();
-  dvs::MultiLaneSta engine(design.timing_context(), design.tspec());
-  for (auto _ : state) {
-    engine.reset_lanes();
-    // Deterministic victims spread across the gate list: each lane
-    // probes one gate dropped to the deepest rung.
-    for (int l = 0; l < lanes; ++l) {
-      const int lane = engine.add_lane();
-      engine.set_level(lane, gates[(l * gates.size()) / lanes], deep);
-    }
-    engine.run();
-    benchmark::DoNotOptimize(engine.worst_slack(lanes - 1));
-  }
-  state.SetLabel(net.name());
-  state.counters["gates"] = net.num_gates();
-  state.counters["lanes"] = lanes;
-}
-BENCHMARK(BM_MultiLaneSta)->ArgsProduct({{5, 6, 7}, {1, 4, 8, 16}});
-
 /// One Dscale candidate-collection round over the big circuits: the
-/// deepest-first batched lane-group scan with the hoisted lowering
-/// model (plus the MWIS selection and commit it feeds).
+/// deepest-first batched scan with the hoisted lowering model (plus the
+/// MWIS selection and commit it feeds).
 void BM_BatchedDscaleScan(benchmark::State& state) {
   const dvs::Network& net = circuit(kByIndex[state.range(0)]);
   dvs::DscaleOptions options;
@@ -322,9 +289,9 @@ int main(int argc, char** argv) {
           "Engine microbenchmarks (cold/steady-state full STA, timing-\n"
           "graph compilation, activity estimation, antichain max-flow,\n"
           "CVS/Dscale/Gscale, pipeline-dispatch overhead, metrics\n"
-          "counter/histogram cost, per-flip incremental STA, multi-lane\n"
-          "STA at widths 1/4/8/16, batched Dscale scan rounds) over MCNC\n"
-          "stand-ins.  --json = --benchmark_format=json (CI stores it as\n"
+          "counter/histogram cost, per-flip incremental STA, batched\n"
+          "Dscale scan rounds) over MCNC stand-ins.\n"
+          "--json = --benchmark_format=json (CI stores it as\n"
           "BENCH_engines.json); everything else is passed to\n"
           "google-benchmark (--benchmark_filter=REGEX,\n"
           "--benchmark_min_time=T, ...).  Unknown flags exit non-zero.\n",

@@ -3,8 +3,8 @@
 // configurable supplies and budgets, and optionally export the optimized
 // netlist as BLIF / structural Verilog / Graphviz.
 //
-//   $ ./suite_runner --circuit b9 --algo gscale --vlow 4.0 \
-//         --verilog out.v --dot out.dot
+//   $ ./suite_runner --circuit b9 --algo gscale --vlow 4.0 --verilog out.v
+//   $ ./suite_runner --circuit b9 --algo gscale --dot out.dot
 //   $ ./suite_runner --all --algo cvs
 #include <cstdio>
 #include <cstring>

@@ -163,7 +163,8 @@ Network build_hybrid_circuit(const Library& lib, const HybridSpec& spec,
   {
     Network probe = core_net;
     for (std::size_t p = 0; p < core.po_drivers.size(); ++p)
-      probe.add_output("p" + std::to_string(p), core.po_drivers[p]);
+      probe.add_output(std::string("p").append(std::to_string(p)),
+                     core.po_drivers[p]);
     core_delay = run_sta(probe, lib, -1.0).worst_arrival;
   }
 

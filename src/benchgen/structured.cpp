@@ -186,9 +186,9 @@ Network build_ripple_adder(const Library& lib, int bits, std::string name,
 
   std::vector<NodeId> a, b;
   for (int i = 0; i < bits; ++i)
-    a.push_back(net.add_input("a" + std::to_string(i)));
+    a.push_back(net.add_input(std::string("a").append(std::to_string(i))));
   for (int i = 0; i < bits; ++i)
-    b.push_back(net.add_input("b" + std::to_string(i)));
+    b.push_back(net.add_input(std::string("b").append(std::to_string(i))));
   NodeId carry = net.add_input("cin");
 
   for (int i = 0; i < bits; ++i) {
@@ -196,7 +196,7 @@ Network build_ripple_adder(const Library& lib, int bits, std::string name,
                                      {a[i], b[i]}, xor_cell);
     const NodeId sum = net.add_gate(lib.cell(xor_cell).function,
                                     {half, carry}, xor_cell);
-    net.add_output("s" + std::to_string(i), sum);
+    net.add_output(std::string("s").append(std::to_string(i)), sum);
     carry = net.add_gate(lib.cell(maj_cell).function, {a[i], b[i], carry},
                          maj_cell);
   }
@@ -233,10 +233,10 @@ Network build_mux_tree(const Library& lib, int levels, std::string name) {
   DVS_ASSERT(mux_cell >= 0);
   std::vector<NodeId> data;
   for (int i = 0; i < (1 << levels); ++i)
-    data.push_back(net.add_input("d" + std::to_string(i)));
+    data.push_back(net.add_input(std::string("d").append(std::to_string(i))));
   std::vector<NodeId> sel;
   for (int i = 0; i < levels; ++i)
-    sel.push_back(net.add_input("s" + std::to_string(i)));
+    sel.push_back(net.add_input(std::string("s").append(std::to_string(i))));
   for (int l = 0; l < levels; ++l) {
     std::vector<NodeId> next;
     for (std::size_t i = 0; i + 1 < data.size(); i += 2)

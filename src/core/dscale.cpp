@@ -318,8 +318,8 @@ DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
     // slack with positive gain, taking the deepest feasible rung per
     // gate.  Instead of walking each gate's rung ladder independently,
     // the scan runs deepest-first rounds over one shared target rung —
-    // each round is a homogeneous lane group probing every unresolved
-    // gate at that rung with the model constants hoisted — and a gate
+    // each round probes every unresolved gate at that rung with the
+    // model constants hoisted — and a gate
     // resolved in an earlier (deeper) round drops out, which is exactly
     // the per-gate "deepest feasible wins" break.  Probe math and probe
     // set are unchanged, so the candidate list is identical.

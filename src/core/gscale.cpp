@@ -1,6 +1,7 @@
 #include "core/gscale.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/sizing.hpp"
 #include "graph/separator.hpp"
@@ -8,6 +9,7 @@
 #include "support/rng.hpp"
 #include "timing/cpn.hpp"
 #include "timing/graph.hpp"
+#include "timing/kernel.hpp"
 #include "timing/tcb.hpp"
 
 namespace dvs {
@@ -21,11 +23,10 @@ struct AppliedResize {
 };
 
 /// Applies every affordable resize in `cut`, then verifies the constraint
-/// once and reverts the least useful resizes if the fanin-loading side
-/// effect broke a zero-slack path.  Returns the number kept.
-int apply_cut_resizes(Design& design, const StaResult& sta,
-                      const std::vector<NodeId>& cut, double area_budget,
-                      double* area_used) {
+/// and, if the fanin-loading side effect broke a zero-slack path, undoes
+/// the least useful resizes until it holds again.
+void apply_cut_resizes(Design& design, const StaResult& sta,
+                       const std::vector<NodeId>& cut, double area_budget) {
   std::vector<AppliedResize> applied;
   double area = design.total_area();
   for (NodeId id : cut) {
@@ -37,51 +38,32 @@ int apply_cut_resizes(Design& design, const StaResult& sta,
     area += option.area_penalty;
     applied.push_back({id, old_cell, option.delay_gain});
   }
-  if (applied.empty()) return 0;
+  if (applied.empty()) return;
 
   std::sort(applied.begin(), applied.end(),
             [](const AppliedResize& a, const AppliedResize& b) {
               return a.delay_gain < b.delay_gain;
             });
-  // Candidate states are the revert prefixes (first k resizes undone, in
-  // ascending delay-gain order), all known up front — so instead of
-  // re-timing after every single revert, score them in lane groups: one
-  // multi-lane sweep checks up to kLanes prefixes at once and the
-  // smallest feasible prefix wins.  Lane arrivals are bit-identical to
-  // the per-revert walks, so the chosen prefix is the same one the
-  // sequential loop found.
-  MultiLaneSta lanes(design.timing_context(), design.tspec());
-  lanes.run();
-  std::size_t reverted = 0;
-  double final_worst = lanes.base_worst_arrival();
-  if (final_worst > design.tspec() + 1e-9) {
-    constexpr std::size_t kLanes = 16;
-    reverted = applied.size();  // fallback: undo everything
-    bool found = false;
-    for (std::size_t g0 = 0; g0 < applied.size() && !found; g0 += kLanes) {
-      const std::size_t g1 = std::min(applied.size(), g0 + kLanes);
-      lanes.reset_lanes();
-      for (std::size_t k = g0; k < g1; ++k) {
-        const int lane = lanes.add_lane();
-        for (std::size_t j = 0; j <= k; ++j)
-          lanes.set_cell(lane, applied[j].id, applied[j].old_cell);
-      }
-      lanes.run();
-      for (std::size_t k = g0; k < g1; ++k) {
-        final_worst = lanes.worst_arrival(static_cast<int>(k - g0));
-        if (final_worst <= design.tspec() + 1e-9) {
-          reverted = k + 1;
-          found = true;
-          break;
-        }
-      }
-    }
-    for (std::size_t j = 0; j < reverted; ++j)
-      design.network().set_cell(applied[j].id, applied[j].old_cell);
+  // The revert search: undo resizes in ascending delay-gain order, one at
+  // a time, until the worst arrival meets the constraint.  Each state is
+  // timed by the forward half of a full walk on one bound set of rules
+  // into one reused result, so every worst arrival is the one a fresh
+  // run_sta reports (IncrementalSta's kEps cut-off would not guarantee
+  // that) and no walk after the first allocates.
+  const TimingContext ctx = design.timing_context();
+  std::unique_ptr<const TimingGraph> own;
+  const TimingGraph& graph = timing_detail::current_graph(ctx, own);
+  timing_detail::NodeRules rules(ctx, graph);
+  StaResult walk;
+  timing_detail::walk_forward(rules, walk);
+  for (std::size_t k = 0;
+       k < applied.size() && walk.worst_arrival > design.tspec() + 1e-9;
+       ++k) {
+    design.network().set_cell(applied[k].id, applied[k].old_cell);
+    graph.sync_node(applied[k].id);
+    timing_detail::walk_forward(rules, walk);
   }
-  DVS_ASSERT(final_worst <= design.tspec() + 1e-6);
-  *area_used = design.total_area();
-  return static_cast<int>(applied.size() - reverted);
+  DVS_ASSERT(walk.worst_arrival <= design.tspec() + 1e-6);
 }
 
 bool same_tcb(std::vector<NodeId> a, std::vector<NodeId> b) {
@@ -141,9 +123,7 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
     std::vector<NodeId> cut_nodes;
     for (int i : cut.selected) cut_nodes.push_back(cpn.nodes[i]);
 
-    double area_after = design.total_area();
-    result.num_resized += apply_cut_resizes(design, sta, cut_nodes,
-                                            area_budget, &area_after);
+    apply_cut_resizes(design, sta, cut_nodes, area_budget);
 
     CvsResult push = run_cvs(design, options.cvs);
     result.cvs_lowered += push.num_lowered;

@@ -115,7 +115,7 @@ SupplyLadder supply_ladder_from_json(const Json& value) {
 std::string supply_rung_name(SupplyId rung, int depth) {
   if (rung == kTopRung) return "high";
   if (static_cast<int>(rung) == depth - 1) return "low";
-  return "v" + std::to_string(static_cast<int>(rung));
+  return std::string("v").append(std::to_string(static_cast<int>(rung)));
 }
 
 Json supply_counts_json(const std::vector<int>& counts) {

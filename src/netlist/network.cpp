@@ -93,7 +93,8 @@ NodeId Network::new_node(NodeKind kind, std::string name) {
   Node n;
   n.id = static_cast<NodeId>(nodes_.size());
   n.kind = kind;
-  n.name = name.empty() ? "n" + std::to_string(n.id) : std::move(name);
+  n.name = name.empty() ? std::string("n").append(std::to_string(n.id))
+                        : std::move(name);
   nodes_.push_back(std::move(n));
   return nodes_.back().id;
 }

@@ -119,7 +119,7 @@ NodeId resolve_gate(DesignRegistry::Handle& handle, const Json& gate) {
     if (it != handle.gate_names.end()) id = it->second;
   } else {
     id = static_cast<NodeId>(gate.as_int());
-    label = "'" + std::to_string(id) + "'";
+    label = std::string("'").append(std::to_string(id)).append("'");
   }
   if (id == kNoNode || !net.is_valid(id))
     throw ProtocolError("unknown gate " + label + " in design '" +
@@ -380,7 +380,8 @@ Json::Object DesignRegistry::open(const OpenDesignRequest& request) {
     gc_locked(now);
     if (draining_) throw ProtocolError(kDraining);
     if (name.empty())
-      name = "d" + std::to_string(next_id_++);  // a failed open consumes it
+      name = std::string("d").append(
+          std::to_string(next_id_++));  // a failed open consumes it
     else if (auto it = handles_.find(name); it != handles_.end())
       attach_locked(it->second);
     if (!handle) check_room_locked();

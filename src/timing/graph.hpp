@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,10 +37,6 @@
 #include "timing/sta.hpp"
 
 namespace dvs {
-
-namespace timing_detail {
-class NodeRules;
-}
 
 class TimingGraph {
  public:
@@ -149,114 +144,6 @@ class TimingGraph {
 
   // Mapped-cell snapshot the arcs/caps were resolved against.
   mutable std::vector<std::int32_t> cell_;
-};
-
-/// N-lane arrival-time engine: scores N candidate (rung, cell)
-/// assignments against a committed base state in one topological sweep
-/// over the compiled CSR arcs.
-///
-/// Layout: a lane-major structure-of-arrays block — for every node at or
-/// above the sparse "dirty-from" start rank (the minimum topological rank
-/// any lane's overrides touch, shared across lanes) the engine keeps
-/// `num_lanes` contiguous rise/fall arrival doubles, so the inner loop
-/// over lanes is a branch-free contiguous run that the compiler can
-/// auto-vectorize.  Nodes below the start rank are never re-walked: all
-/// lanes read the base arrivals computed once per run().
-///
-/// Exactness: lane results are bit-identical to re-running the full
-/// single-assignment STA on a design carrying the lane's overrides —
-/// not approximately equal.  Every per-lane value comes from the
-/// kernel's per-node rules (timing/kernel.hpp) that run_sta applies: the
-/// base sweep is run_sta's own forward half, per-lane loads call the
-/// load rule with the lane's pin caps and converter routing, touched
-/// nodes call the arrival and LC-arrival rules with the lane's supply,
-/// cell, load and inputs, LC boundary flags are re-derived with the same
-/// `lc_needed` rule Design maintains, and the max-folds over pins and
-/// output ports are order-insensitive.  Untouched nodes above the start
-/// rank run the arrival rule lane-wide — one scalar delay per pin, then
-/// a contiguous max-fold over the lanes — on the same operands, so they
-/// reproduce the base doubles byte-for-byte.
-///
-/// The context's spans must stay alive and describe the committed state
-/// for the engine's lifetime; point cell edits in the underlying network
-/// are absorbed by the sync_cells() every run() performs.  A structural
-/// network edit invalidates the compiled graph: run() detects the
-/// `structural_version()` bump and recompiles a private fallback graph
-/// (observable via recompiled()), rebuilding every lane array on it.
-class MultiLaneSta {
- public:
-  /// `tspec` is the required time used by worst_slack(); pass the
-  /// design's constraint.  Lane overrides start empty.
-  MultiLaneSta(const TimingContext& ctx, double tspec);
-  ~MultiLaneSta();
-
-  int add_lane();
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
-  /// Drops every lane and its overrides (buffers are kept for reuse).
-  void reset_lanes();
-
-  /// Overrides gate `id`'s supply rung in `lane`.  Requires the context
-  /// to carry `node_level` and `lc_on_output` spans (Design contexts do).
-  void set_level(int lane, NodeId id, SupplyId rung);
-  /// Overrides gate `id`'s mapped cell in `lane` (arcs + pin caps);
-  /// `cell < 0` means unmapped (default arcs / default pin caps).
-  void set_cell(int lane, NodeId id, int cell);
-
-  /// One base sweep + one lane sweep from the dirty rank.  Recompiles a
-  /// private graph first if the context's graph went stale.
-  void run();
-
-  double tspec() const { return tspec_; }
-  /// Worst arrival of the committed (no-override) state, from the last
-  /// run().
-  double base_worst_arrival() const { return base_.worst_arrival; }
-  double worst_arrival(int lane) const;
-  double worst_slack(int lane) const { return tspec_ - worst_arrival(lane); }
-  /// Arrival at `id`'s output in `lane`, from the last run().
-  RiseFall arrival(int lane, NodeId id) const;
-  /// True iff the last run() had to recompile (stale context graph).
-  bool recompiled() const { return recompiled_; }
-
- private:
-  struct Override {
-    NodeId node = kNoNode;
-    SupplyId level = 0;
-    int cell = -1;
-    char has_level = 0;
-    char has_cell = 0;
-  };
-
-  void build_closure(const TimingGraph& g);
-  void fill_effective(const timing_detail::NodeRules& rules);
-  void sweep_lanes(timing_detail::NodeRules& rules);
-
-  TimingContext ctx_;
-  double tspec_ = 0.0;
-  std::unique_ptr<const TimingGraph> fallback_;  // ctx_.graph went stale
-  const TimingGraph* graph_ = nullptr;  // resolved by the last run()
-  bool recompiled_ = false;
-
-  std::vector<std::vector<Override>> lanes_;
-  std::vector<char> lane_has_level_;  // lane carries >=1 level override
-
-  // ---- products of the last run() ---------------------------------------
-  StaResult base_;  // forward half of the committed state's full walk
-  int start_rank_ = 0;
-  int ran_lanes_ = 0;
-  // Lane block: node (by rank - start_rank_) major, lane minor.
-  std::vector<double> lane_ar_, lane_af_, lane_lr_, lane_lf_;
-  std::vector<double> lane_worst_;
-
-  // ---- override closure + per-(touched node, lane) effective state ------
-  std::vector<char> touched_;    // per node id: overridden/adjacent, any lane
-  std::vector<int> touch_row_;   // node id -> row in eff arrays, or -1
-  std::vector<NodeId> touch_list_;
-  static constexpr int kBaseCell = -2;  // eff_cell_ sentinel: no override
-  std::vector<double> eff_vdd_, eff_load_, eff_lc_load_;
-  std::vector<SupplyId> eff_level_;
-  std::vector<int> eff_cell_;
-  std::vector<char> eff_lc_on_;  // lane LC flag (lc_needed)
-  std::vector<TimingArc> scratch_arcs_;
 };
 
 }  // namespace dvs

@@ -1,11 +1,11 @@
 // The timing kernel: the per-node rules every timing analysis applies.
-// The full walk (run_sta), the event-driven IncrementalSta, the lane
-// engine MultiLaneSta, the load pass (compute_loads) and the CPN
-// extractor all call these rules; they differ only in which nodes they
-// visit, in what order, and where they keep the per-node state.  Each
-// rule reads nothing but its operands, so two engines that visit a node
-// with the same operands get the same doubles.  Internal header (not
-// part of the public API surface).
+// The full walk (run_sta), the event-driven IncrementalSta, the load pass
+// (compute_loads), the CPN extractor, Gscale's revert search and
+// Dscale's lowering model all call these rules; they differ only in which
+// nodes they visit, in what order, and where they keep the per-node
+// state.  Each rule reads nothing but its operands, so two analyses that
+// visit a node with the same operands get the same doubles.  Internal
+// header (not part of the public API surface).
 #pragma once
 
 #include <algorithm>
@@ -144,12 +144,11 @@ inline double slack(const RiseFall& arrival, const RiseFall& required) {
 
 /// The graph every analysis of `ctx` runs on: `ctx.graph` when it is a
 /// current compilation of `ctx`'s network and library, else `own` —
-/// recompiled first unless it already is one (`*compiled` reports that).
-/// Either way the returned graph's cell snapshot is synced, so results
-/// never depend on the freshness of what the caller passed in.
+/// recompiled first unless it already is one.  Either way the returned
+/// graph's cell snapshot is synced, so results never depend on the
+/// freshness of what the caller passed in.
 const TimingGraph& current_graph(const TimingContext& ctx,
-                                 std::unique_ptr<const TimingGraph>& own,
-                                 bool* compiled = nullptr);
+                                 std::unique_ptr<const TimingGraph>& own);
 
 // ---- the per-node rules --------------------------------------------------
 
@@ -170,9 +169,9 @@ struct LoadSplit {
 };
 
 /// The rules bound to one compiled graph and one context's live spans.
-/// The generic forms take the operands a lane engine overrides (pin caps,
-/// converter routing, arcs, supply factor, input arrivals); the
-/// node-id forms apply them to the committed state held in a StaResult.
+/// The generic load form takes the operands a what-if model overrides
+/// (pin caps, converter routing); the node-id forms apply the rules to
+/// the committed state held in a StaResult.
 class NodeRules {
  public:
   NodeRules(const TimingContext& ctx, const TimingGraph& g);
@@ -230,35 +229,27 @@ class NodeRules {
         });
   }
 
-  /// The arrival rule for a gate with `pins` >= 1 inputs: the max over
-  /// pins of input arrival `in(pin)` through arc `arcs[pin]` at supply
-  /// factor `vf` into `load`.
-  template <class In>
-  static RiseFall arrival(const TimingArc* arcs, std::size_t pins,
-                          double vf, double load, In in) {
-    RiseFall arr{-kInf, -kInf};
-    for (std::size_t pin = 0; pin < pins; ++pin) {
-      const RiseFall cand =
-          propagate(in(pin), arcs[pin], ArcView{arcs[pin], vf, load}.delay());
-      arr.rise = std::max(arr.rise, cand.rise);
-      arr.fall = std::max(arr.fall, cand.fall);
-    }
-    return arr;
-  }
-  /// Arrival at `id` from `r`'s loads and fanin arrivals; inputs,
+  /// The arrival rule: the max over `id`'s pins of the fanin's arrival
+  /// (its converter's output when the pin routes through it) through the
+  /// pin's arc at `id`'s supply factor into `r.load[id]`.  Inputs,
   /// constants and fanin-less gates arrive at t=0.
   RiseFall arrival(NodeId id, const StaResult& r) {
     const std::span<const NodeId> fi = g_->fanins(id);
     if (!g_->is_gate(id) || fi.empty()) return {0.0, 0.0};
-    const double vdd = vdd_[id];
-    return arrival(g_->arcs(id).data(), fi.size(), factor_(vdd), r.load[id],
-                   [&](std::size_t pin) -> const RiseFall& {
-                     const NodeId u = fi[pin];
-                     return timing_detail::through_converter(
-                                has_lc(u), vdd_[u], vdd)
-                                ? r.lc_arrival[u]
-                                : r.arrival[u];
-                   });
+    const std::span<const TimingArc> arcs = g_->arcs(id);
+    const double vf = factor_(vdd_[id]);
+    const double load = r.load[id];
+    RiseFall arr{-kInf, -kInf};
+    for (std::size_t pin = 0; pin < fi.size(); ++pin) {
+      const NodeId u = fi[pin];
+      const RiseFall& in =
+          through_converter(u, id) ? r.lc_arrival[u] : r.arrival[u];
+      const RiseFall cand =
+          propagate(in, arcs[pin], ArcView{arcs[pin], vf, load}.delay());
+      arr.rise = std::max(arr.rise, cand.rise);
+      arr.fall = std::max(arr.fall, cand.fall);
+    }
+    return arr;
   }
 
   /// The LC-arrival rule: the output of a node's converter, defined when

@@ -11,7 +11,7 @@ Network xor_tree(int width) {
   Network net("x");
   std::vector<NodeId> layer;
   for (int i = 0; i < width; ++i)
-    layer.push_back(net.add_input("i" + std::to_string(i)));
+    layer.push_back(net.add_input(std::string("i").append(std::to_string(i))));
   while (layer.size() > 1) {
     std::vector<NodeId> next;
     for (std::size_t i = 0; i + 1 < layer.size(); i += 2)

@@ -44,7 +44,7 @@ Network random_network(Rng& rng, int num_gates) {
   Network net("r");
   std::vector<NodeId> nodes;
   for (int i = 0; i < 4; ++i)
-    nodes.push_back(net.add_input("i" + std::to_string(i)));
+    nodes.push_back(net.add_input(std::string("i").append(std::to_string(i))));
   for (int g = 0; g < num_gates; ++g) {
     const int arity = rng.next_int(1, 4);
     std::vector<NodeId> fanins;

@@ -45,7 +45,9 @@ TEST_F(DscaleTest, InsertsConvertersOnlyWhereNeeded) {
     EXPECT_EQ(design.needs_lc(g.id), lc_needed(design, g.id) != 0);
   });
   // Branch-lowered gates feed high spine gates: converters must exist.
-  if (design.count_low() > 0) EXPECT_GE(design.count_lcs(), 1);
+  if (design.count_low() > 0) {
+    EXPECT_GE(design.count_lcs(), 1);
+  }
 }
 
 TEST_F(DscaleTest, TimingHoldsOnHybridCircuits) {

@@ -96,7 +96,7 @@ TEST_P(MapRandomTest, RandomNetworksMapCorrectly) {
   Network net("r");
   std::vector<NodeId> nodes;
   for (int i = 0; i < 5; ++i)
-    nodes.push_back(net.add_input("i" + std::to_string(i)));
+    nodes.push_back(net.add_input(std::string("i").append(std::to_string(i))));
   for (int g = 0; g < 15; ++g) {
     const int arity = rng.next_int(1, 3);
     std::vector<NodeId> fanins;

@@ -88,11 +88,13 @@ TEST(MatrixViews, CvsOverOptimizedDesignsFourRungs) {
                 "4-rung CVS-over-optimized pipeline matrix");
 }
 
-/// The suite report as BENCH_suite.json carries it plus every row as the
-/// service reports it, both without their clock columns.
-std::string suite_dump(const std::vector<double>& supplies) {
+/// The suite report over `circuits` as BENCH_suite.json carries it plus
+/// every row as the service reports it, both without their clock columns.
+std::string suite_dump(const std::vector<double>& supplies,
+                       const std::vector<std::string>& circuits = {
+                           "b9", "C432", "apex7"}) {
   SuiteOptions options;
-  options.circuits = {"b9", "C432", "apex7"};
+  options.circuits = circuits;
   options.flow.activity.num_vectors = 512;
   options.num_threads = 2;
   options.supplies = supplies;
@@ -105,7 +107,7 @@ std::string suite_dump(const std::vector<double>& supplies) {
   for (const CircuitRunResult& row : report.rows) {
     Json report_row = report_json(row, true, true, true);
     report_row.as_object().at("gscale").as_object().erase("seconds");
-    out += "\n" + report_row.dump();
+    out.append("\n").append(report_row.dump());
   }
   return out;
 }
@@ -118,6 +120,22 @@ TEST(MatrixViews, SuiteRowsTwoRungs) {
 TEST(MatrixViews, SuiteRowsThreeRungs) {
   expect_pinned(0xa690f0fcce0f7435ULL, suite_dump({5.0, 4.3, 3.6}),
                 "3-rung suite rows");
+}
+
+// Circuits whose Gscale cuts break timing on deeper ladders, so the
+// revert search (undo the least useful resizes until the constraint
+// holds) fires 11-12 times on each of them; the pins above never reach
+// it.
+TEST(MatrixViews, SuiteRowsThreeRungsRevertSearch) {
+  expect_pinned(0xc3ce0f762d086c3cULL,
+                suite_dump({5.0, 4.3, 3.6}, {"z4ml", "dalu", "apex6"}),
+                "3-rung suite rows through the revert search");
+}
+
+TEST(MatrixViews, SuiteRowsFourRungsRevertSearch) {
+  expect_pinned(0x8349e076156a42afULL,
+                suite_dump({5.0, 4.6, 4.2, 3.8}, {"C1355", "dalu"}),
+                "4-rung suite rows through the revert search");
 }
 
 TEST(MatrixViews, CanonicalJobDocuments) {

@@ -88,8 +88,9 @@ TEST_F(PaperShapeTest, ZeroCvsCircuits) {
     EXPECT_NEAR(row(name).cvs_improve_pct, 0.0, 1e-6) << name;
     EXPECT_EQ(row(name).cvs_low, 0) << name;
     // ... and Gscale unlocks them anyway (except frozen i2).
-    if (std::string(name) != "i2")
+    if (std::string(name) != "i2") {
       EXPECT_GT(row(name).gscale_improve_pct, 10.0) << name;
+    }
   }
 }
 

@@ -27,7 +27,7 @@ TEST_P(ReachabilityPropertyTest, MatchesTransitiveFanout) {
   Network net("r");
   std::vector<NodeId> nodes;
   for (int i = 0; i < 5; ++i)
-    nodes.push_back(net.add_input("i" + std::to_string(i)));
+    nodes.push_back(net.add_input(std::string("i").append(std::to_string(i))));
   for (int g = 0; g < 40; ++g) {
     const NodeId f0 = nodes[rng.next_below(nodes.size())];
     NodeId f1 = nodes[rng.next_below(nodes.size())];

@@ -18,7 +18,7 @@ TEST_P(CellSimTest, MatchesTruthTable) {
   Network net("cell");
   std::vector<NodeId> pis;
   for (int i = 0; i < cell.num_inputs(); ++i)
-    pis.push_back(net.add_input("i" + std::to_string(i)));
+    pis.push_back(net.add_input(std::string("i").append(std::to_string(i))));
   const NodeId g = net.add_gate(cell.function, pis, GetParam());
   net.add_output("y", g);
   BitSimulator sim(net);
@@ -72,7 +72,7 @@ TEST(BitSim, ParityTreeComputesParity) {
   Network net("p");
   std::vector<NodeId> pis;
   for (int i = 0; i < 8; ++i)
-    pis.push_back(net.add_input("i" + std::to_string(i)));
+    pis.push_back(net.add_input(std::string("i").append(std::to_string(i))));
   std::vector<NodeId> layer = pis;
   while (layer.size() > 1) {
     std::vector<NodeId> next;

@@ -66,7 +66,7 @@ TEST_P(SweepPropertyTest, PreservesFunctionality) {
   Network net("r");
   std::vector<NodeId> nodes;
   for (int i = 0; i < 4; ++i)
-    nodes.push_back(net.add_input("i" + std::to_string(i)));
+    nodes.push_back(net.add_input(std::string("i").append(std::to_string(i))));
   nodes.push_back(net.add_constant(rng.next_bool()));
   for (int g = 0; g < 14; ++g) {
     const int arity = rng.next_int(1, 3);

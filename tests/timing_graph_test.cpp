@@ -304,86 +304,6 @@ TEST_F(TimingGraphTest, StaleGraphInContextFallsBackToFreshCompile) {
         bit_identical(stale_timer.result(), fresh_timer.result(), edited))
         << "after lowering node " << gates[k];
   }
-
-  // Lane walks.
-  MultiLaneSta fresh_lanes(ctx, tspec);
-  MultiLaneSta stale_lanes(stale_ctx, tspec);
-  for (MultiLaneSta* lanes : {&fresh_lanes, &stale_lanes}) {
-    lanes->set_level(lanes->add_lane(), gates[2], kLowRung);
-    const int lane = lanes->add_lane();
-    const int up = lib_.upsize(edited.node(gates[4]).cell);
-    ASSERT_GE(up, 0);
-    lanes->set_cell(lane, gates[4], up);
-    lanes->run();
-  }
-  EXPECT_FALSE(fresh_lanes.recompiled());
-  EXPECT_TRUE(stale_lanes.recompiled());
-  EXPECT_EQ(stale_lanes.base_worst_arrival(), fresh_lanes.base_worst_arrival());
-  for (int lane = 0; lane < 2; ++lane) {
-    EXPECT_EQ(stale_lanes.worst_arrival(lane), fresh_lanes.worst_arrival(lane));
-    for (NodeId id = 0; id < edited.size(); ++id) {
-      if (!edited.is_valid(id)) continue;
-      const RiseFall a = stale_lanes.arrival(lane, id);
-      const RiseFall b = fresh_lanes.arrival(lane, id);
-      EXPECT_EQ(a.rise, b.rise) << "lane " << lane << " node " << id;
-      EXPECT_EQ(a.fall, b.fall) << "lane " << lane << " node " << id;
-    }
-  }
-}
-
-TEST_F(TimingGraphTest, MultiLaneArraysSurviveStructuralEditViaRecompile) {
-  Network net = random_circuit(41, 0.3);
-  Design design(std::move(net), lib_);
-  std::vector<NodeId> gates;
-  design.network().for_each_gate([&](const Node& g) {
-    if (g.cell >= 0) gates.push_back(g.id);
-  });
-
-  // A batch scored against the current compilation needs no recompile.
-  MultiLaneSta lanes(design.timing_context(), design.tspec());
-  lanes.set_level(lanes.add_lane(), gates.front(), kLowRung);
-  lanes.run();
-  ASSERT_FALSE(lanes.recompiled());
-
-  // Structural edit under a retained copy of the old compilation (the
-  // shape of a long-lived session keeping a graph past the design's
-  // recompile): the network version moves on, the copy goes stale.
-  const TimingGraph stale = design.timing_graph();
-  const std::uint64_t version_before = stale.structural_version();
-  const NodeId driver = gates.front();
-  std::vector<NodeId> moved;
-  for (NodeId fo : design.network().node(driver).fanouts) {
-    moved.push_back(fo);
-    break;
-  }
-  ASSERT_FALSE(moved.empty());
-  design.network().insert_between(driver, moved, {}, tt_buf(),
-                                  lib_.smallest_of("buf"), "ml_buf");
-  design.sync_with_network();
-  ASSERT_NE(design.timing_graph().structural_version(), version_before);
-
-  // A lane batch whose context still names the stale compilation: the
-  // engine must notice the structural_version mismatch, discard the lane
-  // block, compile its own view — and still reproduce the full walk on
-  // the edited network bit-for-bit.
-  TimingContext stale_ctx = design.timing_context();
-  stale_ctx.graph = &stale;
-  MultiLaneSta relanes(stale_ctx, design.tspec());
-  const NodeId victim = gates.back();
-  relanes.set_level(relanes.add_lane(), victim, kLowRung);
-  relanes.run();
-  EXPECT_TRUE(relanes.recompiled());
-
-  Design ref = design;
-  ref.set_level(victim, kLowRung);
-  const StaResult full = ref.run_timing();
-  EXPECT_EQ(relanes.worst_arrival(0), full.worst_arrival);
-  for (NodeId id = 0; id < design.network().size(); ++id) {
-    if (!design.network().is_valid(id)) continue;
-    const RiseFall a = relanes.arrival(0, id);
-    EXPECT_EQ(a.rise, full.arrival[id].rise);
-    EXPECT_EQ(a.fall, full.arrival[id].fall);
-  }
 }
 
 }  // namespace
