@@ -2,7 +2,7 @@
 // which every gate lies on a full-depth (zero-slack) path except for an
 // adjustable fraction of slack-bearing side branches — the structural
 // signature of the paper's CVS=0 circuits (C1355, C432, C499, f51m, mux,
-// z4ml, i2).  The small arithmetic builders are used by my_adder, the
+// z4ml, i2).  The ripple-carry adder builder is used by my_adder, the
 // examples and the tests.
 #pragma once
 
@@ -55,11 +55,5 @@ GridPart add_grid_part(Network& net, const Library& lib,
 /// the majority carry chain is critical — the my_adder signature.
 Network build_ripple_adder(const Library& lib, int bits, std::string name,
                            bool maxed_sizes = false);
-
-/// Balanced XOR parity tree over `width` inputs (single output).
-Network build_parity_tree(const Library& lib, int width, std::string name);
-
-/// 2^levels : 1 multiplexer tree built from mux2 cells.
-Network build_mux_tree(const Library& lib, int levels, std::string name);
 
 }  // namespace dvs

@@ -1,6 +1,5 @@
 // Gate-sizing support for Gscale: evaluates the area/time trade of moving
-// a gate to its next drive variant and applies resizes under an area
-// budget with a post-check against the timing constraint.
+// a gate to its next drive variant.
 #pragma once
 
 #include "core/design.hpp"
@@ -21,10 +20,5 @@ struct ResizeOption {
 /// Evaluates upsizing `id` one drive step at its current load and supply.
 ResizeOption evaluate_upsize(const Design& design, const StaResult& sta,
                              NodeId id);
-
-/// Applies the resize.  Returns false (and leaves the design untouched)
-/// when the resize would break the timing constraint — upsizing loads the
-/// fanin drivers, which the weight model does not see.
-bool apply_resize_checked(Design& design, NodeId id, int new_cell);
 
 }  // namespace dvs

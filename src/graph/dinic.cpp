@@ -27,7 +27,7 @@ class Dinic {
     while (build_levels()) {
       std::fill(iter_.begin(), iter_.end(), 0);
       for (;;) {
-        const double pushed = push(source_, kFlowInf);
+        const double pushed = augment();
         if (pushed <= kFlowEps) break;
         total += pushed;
       }
@@ -55,17 +55,34 @@ class Dinic {
     return level_[sink_] >= 0;
   }
 
-  double push(int v, double limit) {
-    if (v == sink_) return limit;
-    const std::span<FlowNetwork::Arc> arcs = net_.arcs_of(v);
-    for (int& i = iter_[v]; i < static_cast<int>(arcs.size()); ++i) {
-      FlowNetwork::Arc& arc = arcs[i];
-      if (arc.cap <= kFlowEps || level_[arc.to] != level_[v] + 1) continue;
-      const double pushed = push(arc.to, std::min(limit, arc.cap));
-      if (pushed > kFlowEps) {
-        arc.cap -= pushed;
-        net_.arcs_of(arc.to)[arc.rev].cap += pushed;
-        return pushed;
+  /// Pushes the bottleneck of one source-to-sink path of the level graph
+  /// along it and returns the amount, or 0 when no path is left.  The path
+  /// is an explicit stack of (vertex, bottleneck so far); each vertex's
+  /// arc cursor `iter_` persists across paths, and a vertex whose arcs run
+  /// out is a dead end that moves its parent's cursor past the arc to it.
+  double augment() {
+    path_.assign(1, {source_, kFlowInf});
+    while (!path_.empty()) {
+      const auto [v, limit] = path_.back();
+      if (v == sink_) {
+        for (std::size_t k = path_.size() - 1; k-- > 0;) {
+          FlowNetwork::Arc& arc =
+              net_.arcs_of(path_[k].vertex)[iter_[path_[k].vertex]];
+          arc.cap -= limit;
+          net_.arcs_of(arc.to)[arc.rev].cap += limit;
+        }
+        return limit;
+      }
+      const std::span<FlowNetwork::Arc> arcs = net_.arcs_of(v);
+      int& i = iter_[v];
+      while (i < static_cast<int>(arcs.size()) &&
+             (arcs[i].cap <= kFlowEps || level_[arcs[i].to] != level_[v] + 1))
+        ++i;
+      if (i < static_cast<int>(arcs.size())) {
+        path_.push_back({arcs[i].to, std::min(limit, arcs[i].cap)});
+      } else {
+        path_.pop_back();
+        if (!path_.empty()) ++iter_[path_.back().vertex];
       }
     }
     return 0.0;
@@ -77,6 +94,11 @@ class Dinic {
   std::vector<int> level_;
   std::vector<int> iter_;
   std::vector<int> queue_;
+  struct Step {
+    int vertex;
+    double limit;
+  };
+  std::vector<Step> path_;
 };
 
 }  // namespace

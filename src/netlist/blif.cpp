@@ -2,19 +2,15 @@
 
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
+
+#include "netlist/elaborate.hpp"
 
 namespace dvs {
 
 namespace {
-
-/// Cap on signal-dependency nesting.  Real netlists stay orders of
-/// magnitude below this (logic depth, not gate count); the cap exists so
-/// an adversarial million-gate inverter chain fed to the dvsd daemon
-/// raises BlifError instead of exhausting the thread's stack.
-constexpr int kMaxNestingDepth = 10000;
 
 struct NamesDecl {
   std::vector<std::string> inputs;
@@ -159,62 +155,63 @@ class Instantiator {
   explicit Instantiator(const BlifDoc& doc) : doc_(doc), net_(doc.model) {}
 
   Network run() {
-    for (const std::string& name : doc_.inputs)
-      define(name, net_.add_input(name));
-    for (std::size_t i = 0; i < doc_.names.size(); ++i) {
-      const NamesDecl& decl = doc_.names[i];
-      if (nodes_.count(decl.output))
+    // Signals are numbered for the shared walk: the primary inputs, then
+    // the .names outputs in declaration order.
+    const int num_inputs = static_cast<int>(doc_.inputs.size());
+    for (const std::string& name : doc_.inputs) {
+      if (!signal_.emplace(name, static_cast<int>(built_.size())).second)
+        throw BlifError("signal defined twice: " + name, 0);
+      built_.push_back(net_.add_input(name));
+    }
+    for (const NamesDecl& decl : doc_.names) {
+      const auto [it, fresh] =
+          signal_.emplace(decl.output, static_cast<int>(built_.size()));
+      if (!fresh && it->second < num_inputs)
         throw BlifError("signal " + decl.output +
                             " is both a primary input and a .names output",
                         decl.line);
-      if (!by_output_.emplace(decl.output, static_cast<int>(i)).second)
+      if (!fresh)
         throw BlifError("signal driven twice: " + decl.output, decl.line);
+      built_.push_back(kNoNode);
     }
-    for (const NamesDecl& decl : doc_.names)
-      build(decl.output, decl.line, 0);
+    auto decl_of = [&](int signal) -> const NamesDecl& {
+      return doc_.names[signal - num_inputs];
+    };
+    for (int root = num_inputs; root < static_cast<int>(built_.size());
+         ++root) {
+      elaborate(
+          root, built_,
+          [&](int signal) -> const std::vector<std::string>& {
+            return decl_of(signal).inputs;
+          },
+          [&](const std::string& name, int user) {
+            const auto it = signal_.find(name);
+            if (it == signal_.end())
+              throw BlifError("undefined signal " + name,
+                              decl_of(user).line);
+            return it->second;
+          },
+          [&](int signal, std::vector<NodeId> fanins) {
+            return instantiate(decl_of(signal), std::move(fanins));
+          },
+          [&](int signal) {
+            throw BlifError("combinational cycle through " +
+                                decl_of(signal).output,
+                            decl_of(signal).line);
+          });
+    }
     for (const std::string& name : doc_.outputs) {
-      auto it = nodes_.find(name);
-      if (it == nodes_.end())
+      const auto it = signal_.find(name);
+      if (it == signal_.end())
         throw BlifError("undriven primary output " + name, 0);
-      net_.add_output(name, it->second);
+      net_.add_output(name, built_[it->second]);
     }
     net_.check();
     return std::move(net_);
   }
 
  private:
-  void define(const std::string& name, NodeId id) {
-    if (!nodes_.emplace(name, id).second)
-      throw BlifError("signal defined twice: " + name, 0);
-  }
-
-  NodeId build(const std::string& name, int use_line, int depth) {
-    if (auto it = nodes_.find(name); it != nodes_.end()) return it->second;
-    if (depth > kMaxNestingDepth)
-      throw BlifError("signal nesting deeper than " +
-                          std::to_string(kMaxNestingDepth) + " at " + name,
-                      use_line);
-    auto decl_it = by_output_.find(name);
-    if (decl_it == by_output_.end())
-      throw BlifError("undefined signal " + name, use_line);
-    const NamesDecl& decl = doc_.names[decl_it->second];
-    if (building_.count(name))
-      throw BlifError("combinational cycle through " + name, decl.line);
-    building_.insert(name);
-
-    std::vector<NodeId> fanins;
-    fanins.reserve(decl.inputs.size());
-    for (const std::string& in : decl.inputs)
-      fanins.push_back(build(in, decl.line, depth + 1));
-
-    const NodeId id = instantiate(decl, fanins);
-    building_.erase(name);
-    define(name, id);
-    return id;
-  }
-
-  NodeId instantiate(const NamesDecl& decl,
-                     const std::vector<NodeId>& fanins) {
+  NodeId instantiate(const NamesDecl& decl, std::vector<NodeId> fanins) {
     const int k = static_cast<int>(fanins.size());
     std::vector<Cube> cubes;
     cubes.reserve(decl.cover.size());
@@ -246,7 +243,7 @@ class Instantiator {
         const bool value = phase ? covered : !covered;
         if (value) tt.bits |= 1ULL << p;
       }
-      return net_.add_gate(tt, fanins, -1, decl.output);
+      return net_.add_gate(tt, std::move(fanins), -1, decl.output);
     }
     return build_wide_sop(decl, cubes, fanins, phase);
   }
@@ -297,10 +294,9 @@ class Instantiator {
 
   const BlifDoc& doc_;
   Network net_;
-  std::map<std::string, NodeId> nodes_;
-  std::map<std::string, int> by_output_;
+  std::unordered_map<std::string, int> signal_;
+  std::vector<NodeId> built_;  // per signal, for elaborate()
   std::map<NodeId, NodeId> inverter_of_;
-  std::set<std::string> building_;
 };
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "netlist/elaborate.hpp"
 #include "support/contracts.hpp"
 #include "synth/decompose.hpp"
 
@@ -165,14 +166,17 @@ struct SopLiteral {
 };
 using SopCube = std::vector<SopLiteral>;
 
-/// One net-defining statement, keyed by the defined net's name.
+/// One net: a module input or the statement that drives it.  A
+/// sum-of-products assign becomes a constant or a gate when the build
+/// first reaches it.
 struct NetDefn {
-  enum class Kind { kConstant, kInstance, kSop, kAlias } kind;
-  bool constant_value = false;
-  int cell = -1;                        // kInstance
-  std::vector<std::string> pin_nets;    // kInstance, positional i0..iN
+  enum class Kind { kInput, kConstant, kGate, kSop, kAlias } kind;
+  std::string name;
+  bool constant_value = false;          // kConstant
+  TruthTable function;                  // kGate
+  int cell = -1;                        // kGate: library cell or -1
+  std::vector<std::string> pin_nets;    // kGate (pin order), kAlias (one)
   std::vector<SopCube> cubes;           // kSop ('true' cube = empty list)
-  std::string alias_of;                 // kAlias
 };
 
 /// Splits Verilog text into statements on ';', with comments stripped.
@@ -298,106 +302,102 @@ TruthTable sop_truth_table(const std::vector<SopCube>& cubes,
   return tt;
 }
 
-/// Builds the Network from parsed declarations by resolving net names
-/// recursively (statements may reference nets defined later).
-/// Cap on net-dependency nesting, mirroring the BLIF reader's: malformed
-/// or adversarial input must raise VerilogError, never exhaust the stack.
-constexpr int kMaxNestingDepth = 10000;
-
+/// Builds the Network from parsed declarations; statements may reference
+/// nets defined later.
 class VerilogInstantiator {
  public:
-  VerilogInstantiator(const Library& lib, std::string module_name)
-      : lib_(lib), net_(std::move(module_name)) {}
+  explicit VerilogInstantiator(std::string module_name)
+      : net_(std::move(module_name)) {}
 
   void add_input(const std::string& name) {
-    if (node_of_.count(name))
+    const auto [it, fresh] =
+        net_of_.emplace(name, static_cast<int>(defns_.size()));
+    if (!fresh && defns_[it->second].kind == NetDefn::Kind::kInput)
       throw VerilogError("input '" + name + "' declared twice");
-    if (defns_.count(name))
+    if (!fresh)
       throw VerilogError("net '" + name +
                          "' is an input and cannot be driven");
-    node_of_[name] = net_.add_input(name);
+    NetDefn input;
+    input.kind = NetDefn::Kind::kInput;
+    input.name = name;
+    defns_.push_back(std::move(input));
+    built_.push_back(net_.add_input(name));
   }
   void add_defn(const std::string& name, NetDefn defn) {
-    if (node_of_.count(name))
+    const auto [it, fresh] =
+        net_of_.emplace(name, static_cast<int>(defns_.size()));
+    if (!fresh && defns_[it->second].kind == NetDefn::Kind::kInput)
       throw VerilogError("net '" + name +
                          "' is an input and cannot be driven");
-    if (!defns_.emplace(name, std::move(defn)).second)
-      throw VerilogError("net '" + name + "' defined twice");
-    defn_order_.push_back(name);
-  }
-
-  NodeId build(const std::string& name, int depth = 0) {
-    auto ready = node_of_.find(name);
-    if (ready != node_of_.end()) {
-      if (ready->second == kNoNode)
-        throw VerilogError("combinational cycle through '" + name + "'");
-      return ready->second;
-    }
-    if (depth > kMaxNestingDepth)
-      throw VerilogError("net nesting deeper than " +
-                         std::to_string(kMaxNestingDepth) + " at '" +
-                         name + "'");
-    auto it = defns_.find(name);
-    if (it == defns_.end())
-      throw VerilogError("undefined net '" + name + "'");
-    node_of_[name] = kNoNode;  // cycle guard
-    const NetDefn& defn = it->second;
-    NodeId id = kNoNode;
-    switch (defn.kind) {
-      case NetDefn::Kind::kConstant:
-        id = net_.add_constant(defn.constant_value, name);
-        break;
-      case NetDefn::Kind::kAlias:
-        id = build(defn.alias_of, depth + 1);
-        break;
-      case NetDefn::Kind::kInstance: {
-        std::vector<NodeId> fanins;
-        for (const std::string& pin : defn.pin_nets)
-          fanins.push_back(build(pin, depth + 1));
-        id = net_.add_gate(lib_.cell(defn.cell).function,
-                           std::move(fanins), defn.cell, name);
-        break;
-      }
-      case NetDefn::Kind::kSop: {
-        std::vector<std::string> vars;
-        const TruthTable tt = sop_truth_table(defn.cubes, &vars);
-        if (vars.empty()) {
-          id = net_.add_constant(tt.num_vars == 0 && (tt.bits & 1u), name);
-          break;
-        }
-        std::vector<NodeId> fanins;
-        for (const std::string& var : vars)
-          fanins.push_back(build(var, depth + 1));
-        id = net_.add_gate(tt, std::move(fanins), -1, name);
-        break;
-      }
-    }
-    node_of_[name] = id;
-    return id;
+    if (!fresh) throw VerilogError("net '" + name + "' defined twice");
+    defn.name = name;
+    defns_.push_back(std::move(defn));
+    built_.push_back(kNoNode);
   }
 
   Network finish(const std::vector<std::string>& outputs) {
     for (const std::string& out : outputs) {
-      if (!defns_.count(out))
+      const auto it = net_of_.find(out);
+      if (it == net_of_.end() ||
+          defns_[it->second].kind == NetDefn::Kind::kInput)
         throw VerilogError("output '" + out + "' is never assigned");
-      // Alias definitions resolve to their driver inside build(), so a
-      // port alias adds no gate (mirrors read_blif).
-      net_.add_output(out, build(out));
+      // An alias resolves to its driver, so a port alias adds no gate
+      // (mirrors read_blif).
+      net_.add_output(out, build(it->second));
     }
     // Logic not reachable from any port is still part of the module;
     // build it too (in declaration order) so the round trip preserves
     // dangling gates exactly as read_blif does.
-    for (const std::string& name : defn_order_) build(name);
+    for (int net = 0; net < static_cast<int>(defns_.size()); ++net)
+      build(net);
     net_.check();
     return std::move(net_);
   }
 
  private:
-  const Library& lib_;
+  NodeId build(int root) {
+    return elaborate(
+        root, built_,
+        [&](int net) -> const std::vector<std::string>& {
+          NetDefn& defn = defns_[net];
+          if (defn.kind == NetDefn::Kind::kSop) {
+            std::vector<std::string> vars;
+            const TruthTable tt = sop_truth_table(defn.cubes, &vars);
+            if (vars.empty()) {
+              defn.kind = NetDefn::Kind::kConstant;
+              defn.constant_value = tt.bits & 1u;
+            } else {
+              defn.kind = NetDefn::Kind::kGate;
+              defn.function = tt;
+              defn.pin_nets = std::move(vars);
+            }
+          }
+          return defn.pin_nets;
+        },
+        [&](const std::string& name, int /*user*/) {
+          const auto it = net_of_.find(name);
+          if (it == net_of_.end())
+            throw VerilogError("undefined net '" + name + "'");
+          return it->second;
+        },
+        [&](int net, std::vector<NodeId> fanins) {
+          const NetDefn& defn = defns_[net];
+          if (defn.kind == NetDefn::Kind::kConstant)
+            return net_.add_constant(defn.constant_value, defn.name);
+          if (defn.kind == NetDefn::Kind::kAlias) return fanins[0];
+          return net_.add_gate(defn.function, std::move(fanins), defn.cell,
+                               defn.name);
+        },
+        [&](int net) {
+          throw VerilogError("combinational cycle through '" +
+                             defns_[net].name + "'");
+        });
+  }
+
   Network net_;
-  std::unordered_map<std::string, NodeId> node_of_;
-  std::unordered_map<std::string, NetDefn> defns_;
-  std::vector<std::string> defn_order_;
+  std::unordered_map<std::string, int> net_of_;
+  std::vector<NetDefn> defns_;  // every net, in declaration order
+  std::vector<NodeId> built_;   // per net, for elaborate()
 };
 
 }  // namespace
@@ -418,7 +418,7 @@ Network read_verilog_string(const std::string& text, const Library& lib) {
       if (inst) throw VerilogError("only one module is supported");
       if (s.size() < 2) throw VerilogError("module without a name");
       module_name = s[1];
-      inst = std::make_unique<VerilogInstantiator>(lib, module_name);
+      inst = std::make_unique<VerilogInstantiator>(module_name);
       // Port list tokens are redundant with the input/output decls.
     } else if (!inst) {
       throw VerilogError("statement before module header");
@@ -446,7 +446,7 @@ Network read_verilog_string(const std::string& text, const Library& lib) {
         defn.constant_value = true;
       } else if (s.size() == 4 && is_ident_char(s[3][0])) {
         defn.kind = NetDefn::Kind::kAlias;
-        defn.alias_of = s[3];
+        defn.pin_nets = {s[3]};
       } else {
         defn.kind = NetDefn::Kind::kSop;
         defn.cubes = parse_sop(s, 3);
@@ -457,7 +457,8 @@ Network read_verilog_string(const std::string& text, const Library& lib) {
       const int cell = lib.find(head);
       if (cell < 0) throw VerilogError("unknown cell '" + head + "'");
       NetDefn defn;
-      defn.kind = NetDefn::Kind::kInstance;
+      defn.kind = NetDefn::Kind::kGate;
+      defn.function = lib.cell(cell).function;
       defn.cell = cell;
       std::string output_net;
       std::vector<std::pair<int, std::string>> pins;
@@ -501,14 +502,6 @@ Network read_verilog_string(const std::string& text, const Library& lib) {
   if (!inst) throw VerilogError("no module found");
   if (!done) throw VerilogError("missing endmodule");
   return inst->finish(outputs);
-}
-
-Network read_verilog_file(const std::string& path, const Library& lib) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open Verilog file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return read_verilog_string(buf.str(), lib);
 }
 
 }  // namespace dvs

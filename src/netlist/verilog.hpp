@@ -41,6 +41,4 @@ class VerilogError : public std::runtime_error {
 /// BLIF path keep such fanins; the synthesis flow never produces them.
 Network read_verilog_string(const std::string& text, const Library& lib);
 
-Network read_verilog_file(const std::string& path, const Library& lib);
-
 }  // namespace dvs

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
+#include "netlist/elaborate.hpp"
 #include "netlist/topo.hpp"
 #include "support/contracts.hpp"
 #include "synth/decompose.hpp"
@@ -287,10 +287,12 @@ class Cover {
     }
 
     MapResult result{Network(subject_.name()), 0.0, 0.0};
+    emitted_.assign(subject_.size(), kNoNode);
     for (NodeId id : subject_.inputs())
       emitted_[id] = result.mapped.add_input(subject_.node(id).name);
     for (const OutputPort& port : subject_.outputs()) {
-      result.mapped.add_output(port.name, emit(port.driver, result));
+      result.mapped.add_output(port.name,
+                               emit(port.driver, result.mapped));
       result.estimated_delay =
           std::max(result.estimated_delay, best_cost_[port.driver]);
     }
@@ -306,24 +308,25 @@ class Cover {
  private:
   static constexpr double kNominalLoad = 12.0;  // fF, load estimate
 
-  NodeId emit(NodeId id, MapResult& result) {
-    if (auto it = emitted_.find(id); it != emitted_.end())
-      return it->second;
-    const Node& n = subject_.node(id);
-    NodeId out;
-    if (n.is_constant()) {
-      out = result.mapped.add_constant(n.constant_value, n.name);
-    } else {
-      const Match& m = best_match_[id];
-      DVS_ASSERT(m.pattern != nullptr);
-      std::vector<NodeId> fanins;
-      for (NodeId leaf : m.leaf_of_var)
-        fanins.push_back(emit(leaf, result));
-      out = result.mapped.add_gate(lib_.cell(m.cell).function, fanins,
-                                   m.cell, n.name);
-    }
-    emitted_[id] = out;
-    return out;
+  /// Emits the cover of `root`: each chosen match's cell after the cells
+  /// of its leaves.
+  NodeId emit(NodeId root, Network& mapped) {
+    return elaborate(
+        root, emitted_,
+        [&](NodeId id) -> const std::vector<NodeId>& {
+          return best_match_[id].leaf_of_var;  // empty for a constant
+        },
+        [](NodeId leaf, NodeId /*user*/) { return leaf; },
+        [&](NodeId id, std::vector<NodeId> fanins) {
+          const Node& n = subject_.node(id);
+          if (n.is_constant())
+            return mapped.add_constant(n.constant_value, n.name);
+          const Match& m = best_match_[id];
+          DVS_ASSERT(m.pattern != nullptr);
+          return mapped.add_gate(lib_.cell(m.cell).function,
+                                 std::move(fanins), m.cell, n.name);
+        },
+        [](NodeId) { DVS_ASSERT(!"a subject network is acyclic"); });
   }
 
   const Network& subject_;
@@ -332,7 +335,7 @@ class Cover {
   Matcher matcher_;
   std::vector<double> best_cost_;
   std::vector<Match> best_match_;
-  std::map<NodeId, NodeId> emitted_;
+  std::vector<NodeId> emitted_;  // per subject node, for elaborate()
 };
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "library/level_converter.hpp"
-
 namespace dvs {
 namespace {
 
@@ -91,14 +89,6 @@ TEST_F(CompassTest, CellFunctionsMatchTheirNames) {
   EXPECT_TRUE(lib_.cell(lib_.find("aoi22_d1")).function == tt_aoi22());
   EXPECT_TRUE(lib_.cell(lib_.find("maj3_d0")).function == tt_maj3());
   EXPECT_TRUE(lib_.cell(lib_.find("inv_d2")).function == tt_inv());
-}
-
-TEST_F(CompassTest, LevelConverterQueries) {
-  EXPECT_TRUE(has_level_converter(lib_));
-  const Cell& lc = level_converter_cell(lib_);
-  EXPECT_TRUE(lc.is_level_converter);
-  EXPECT_GT(level_converter_delay(lib_, 10.0), 0.0);
-  EXPECT_GT(level_converter_overhead_cap(lib_), 0.0);
 }
 
 TEST_F(CompassTest, SupplySetters) {

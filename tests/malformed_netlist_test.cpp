@@ -106,20 +106,6 @@ TEST(MalformedBlif, SequentialAndUnsupportedConstructs) {
                BlifError);
 }
 
-TEST(MalformedBlif, NestingDepthIsBounded) {
-  // A 12000-long buffer chain declared in REVERSE dependency order (so
-  // the builder must recurse the whole chain from the first declaration):
-  // deeper than the parser's recursion cap, must raise BlifError instead
-  // of overflowing the stack.
-  std::string text = ".model deep\n.inputs a\n.outputs n11999\n";
-  for (int i = 11999; i >= 1; --i) {
-    text += ".names n" + std::to_string(i - 1) + " n" +
-            std::to_string(i) + "\n1 1\n";
-  }
-  text += ".names a n0\n1 1\n.end\n";
-  EXPECT_THROW(read_blif_string(text), BlifError);
-}
-
 TEST(MalformedBlif, ModerateDepthStillParses) {
   std::string text = ".model chain\n.inputs a\n.outputs n1999\n";
   text += ".names a n0\n1 1\n";
