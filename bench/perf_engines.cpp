@@ -8,18 +8,23 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "benchgen/mcnc.hpp"
+#include "benchgen/random_dag.hpp"
 #include "core/cvs.hpp"
 #include "core/dscale.hpp"
 #include "core/gscale.hpp"
 #include "opt/pipeline.hpp"
 #include "graph/antichain.hpp"
 #include "graph/separator.hpp"
+#include "netlist/blif.hpp"
 #include "power/activity.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
+#include "synth/mapper.hpp"
+#include "synth/sweep.hpp"
 #include "timing/graph.hpp"
 #include "timing/incremental.hpp"
 #include "timing/sta.hpp"
@@ -273,6 +278,43 @@ void BM_BatchedDscaleScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedDscaleScan)->DenseRange(5, 7);
 
+// ---- netlist read and mapping ----------------------------------------------
+
+/// One 20k-gate hybrid circuit written as BLIF: the kind of text an
+/// inline dvsd request carries, and perfbench's 20k-gate scale shape.
+const std::string& hybrid_blif() {
+  static const std::string kText = [] {
+    dvs::HybridSpec spec;
+    spec.gates = 20000;
+    spec.pis = 250;
+    spec.pos = 125;
+    spec.critical_fraction = 0.35;
+    spec.seed = 1;
+    return dvs::write_blif_string(
+        dvs::build_hybrid_circuit(lib(), spec, "hybrid20k"));
+  }();
+  return kText;
+}
+
+void BM_BlifParse(benchmark::State& state) {
+  const std::string& text = hybrid_blif();
+  for (auto _ : state) benchmark::DoNotOptimize(dvs::read_blif_string(text));
+  state.SetLabel("hybrid20k");
+}
+BENCHMARK(BM_BlifParse)->Unit(benchmark::kMillisecond);
+
+/// The paper's two maps of the parsed and swept netlist, as dvsd maps an
+/// inline netlist on a cache miss.  CI's bench-map step holds this row
+/// to a multiple of BM_BlifParse from the same run.
+void BM_MapPaperSetup(benchmark::State& state) {
+  dvs::Network parsed = dvs::read_blif_string(hybrid_blif());
+  dvs::sweep_network(parsed);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(dvs::map_paper_setup(parsed, lib()));
+  state.SetLabel("hybrid20k");
+}
+BENCHMARK(BM_MapPaperSetup)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -290,7 +332,8 @@ int main(int argc, char** argv) {
           "graph compilation, activity estimation, antichain max-flow,\n"
           "CVS/Dscale/Gscale, pipeline-dispatch overhead, metrics\n"
           "counter/histogram cost, per-flip incremental STA, batched\n"
-          "Dscale scan rounds) over MCNC stand-ins.\n"
+          "Dscale scan rounds) over MCNC stand-ins, plus BLIF parsing\n"
+          "and the paper's mapping of a 20k-gate hybrid netlist.\n"
           "--json = --benchmark_format=json (CI stores it as\n"
           "BENCH_engines.json); everything else is passed to\n"
           "google-benchmark (--benchmark_filter=REGEX,\n"

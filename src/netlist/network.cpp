@@ -129,6 +129,7 @@ void Network::add_output(std::string port_name, NodeId driver) {
   DVS_EXPECTS(is_valid(driver));
   bump_structural_version();
   outputs_.push_back(OutputPort{std::move(port_name), driver});
+  ++nodes_[driver].ports_driven;
 }
 
 const Node& Network::node(NodeId id) const {
@@ -173,11 +174,30 @@ void Network::replace_fanin(NodeId node_id, NodeId old_fanin,
 void Network::replace_uses(NodeId old_node, NodeId new_node) {
   DVS_EXPECTS(is_valid(old_node) && is_valid(new_node));
   DVS_EXPECTS(old_node != new_node);
-  // Copy: replace_fanin mutates the fanout list we are iterating.
-  const std::vector<NodeId> fanouts = nodes_[old_node].fanouts;
-  for (NodeId fo : fanouts) replace_fanin(fo, old_node, new_node);
-  for (OutputPort& port : outputs_)
-    if (port.driver == old_node) port.driver = new_node;
+  bump_structural_version();
+  Node& from = nodes_[old_node];
+  Node& to = nodes_[new_node];
+  // A reader is listed once per pin that reads old_node; its first
+  // listing rewires all of those pins, so every pin is rewired once.
+  std::size_t rewired = 0;
+  for (NodeId reader : from.fanouts) {
+    DVS_EXPECTS(is_valid(reader));
+    for (NodeId& f : nodes_[reader].fanins)
+      if (f == old_node) {
+        f = new_node;
+        ++rewired;
+      }
+  }
+  DVS_ASSERT(rewired == from.fanouts.size());
+  to.fanouts.insert(to.fanouts.end(), from.fanouts.begin(),
+                    from.fanouts.end());
+  from.fanouts.clear();
+  if (from.ports_driven > 0) {
+    for (OutputPort& port : outputs_)
+      if (port.driver == old_node) port.driver = new_node;
+    to.ports_driven += from.ports_driven;
+    from.ports_driven = 0;
+  }
   remove_node(old_node);
 }
 
@@ -198,6 +218,8 @@ NodeId Network::insert_between(NodeId driver,
                 port_index < static_cast<int>(outputs_.size()));
     DVS_EXPECTS(outputs_[port_index].driver == driver);
     outputs_[port_index].driver = mid;
+    --nodes_[driver].ports_driven;
+    ++nodes_[mid].ports_driven;
   }
   return mid;
 }
@@ -207,7 +229,7 @@ void Network::remove_node(NodeId id) {
   bump_structural_version();
   Node& n = nodes_[id];
   DVS_EXPECTS(n.fanouts.empty());
-  for (const OutputPort& port : outputs_) DVS_EXPECTS(port.driver != id);
+  DVS_EXPECTS(n.ports_driven == 0);
   for (NodeId f : n.fanins) erase_one(nodes_[f].fanouts, id);
   n.fanins.clear();
   if (n.is_input()) erase_one(inputs_, id);
@@ -215,21 +237,26 @@ void Network::remove_node(NodeId id) {
 }
 
 int Network::sweep_dangling() {
+  const auto dangling = [&](NodeId id) {
+    const Node& n = nodes_[id];
+    return !n.dead && n.is_gate() && n.fanouts.empty() && n.ports_driven == 0;
+  };
+  // Removing a dangling gate can strand its fanins, so each removal queues
+  // them; a queued node is removed only if it dangles when popped.  The
+  // dead set, and what is left of every fanout list, do not depend on the
+  // order of removal.
+  std::vector<NodeId> work;
+  for (const Node& n : nodes_)
+    if (dangling(n.id)) work.push_back(n.id);
   int removed = 0;
-  // Iterate to fixpoint: removing one dangling gate can strand its fanins.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (Node& n : nodes_) {
-      if (n.dead || !n.is_gate() || !n.fanouts.empty()) continue;
-      bool drives_port = false;
-      for (const OutputPort& port : outputs_)
-        if (port.driver == n.id) drives_port = true;
-      if (drives_port) continue;
-      remove_node(n.id);
-      ++removed;
-      changed = true;
-    }
+  while (!work.empty()) {
+    const NodeId id = work.back();
+    work.pop_back();
+    if (!dangling(id)) continue;
+    const std::vector<NodeId>& fanins = nodes_[id].fanins;
+    work.insert(work.end(), fanins.begin(), fanins.end());
+    remove_node(id);
+    ++removed;
   }
   return removed;
 }
@@ -255,20 +282,40 @@ void Network::compact() {
 }
 
 void Network::check() const {
+  std::vector<int> ports(nodes_.size(), 0);
+  for (const OutputPort& port : outputs_) {
+    DVS_ASSERT(is_valid(port.driver));
+    ++ports[port.driver];
+  }
+  for (NodeId id : inputs_) DVS_ASSERT(is_valid(id));
+
+  // Fanout lists against fanins, as multisets, in time linear in the
+  // pins: every reader a list names must read the node on exactly as many
+  // pins as the list names it, and the lists must hold one entry per pin
+  // in the network, so no pin lacks its entry either.
+  std::vector<int> listed(nodes_.size(), 0);
+  std::size_t pins = 0;
+  std::size_t entries = 0;
   for (const Node& n : nodes_) {
     if (n.dead) continue;
     DVS_ASSERT(n.function.num_vars == static_cast<int>(n.fanins.size()) ||
                !n.is_gate());
-    for (NodeId f : n.fanins) {
-      DVS_ASSERT(is_valid(f));
-      const auto& fo = nodes_[f].fanouts;
-      DVS_ASSERT(std::count(fo.begin(), fo.end(), n.id) ==
-                 std::count(n.fanins.begin(), n.fanins.end(), f));
+    DVS_ASSERT(n.ports_driven == ports[n.id]);
+    for (NodeId f : n.fanins) DVS_ASSERT(is_valid(f));
+    pins += n.fanins.size();
+    entries += n.fanouts.size();
+    for (NodeId r : n.fanouts) {
+      DVS_ASSERT(is_valid(r));
+      ++listed[r];
     }
-    for (NodeId f : n.fanouts) DVS_ASSERT(is_valid(f));
+    for (NodeId r : n.fanouts) {
+      if (listed[r] == 0) continue;  // compared at its first entry
+      const auto& fi = nodes_[r].fanins;
+      DVS_ASSERT(std::count(fi.begin(), fi.end(), n.id) == listed[r]);
+      listed[r] = 0;
+    }
   }
-  for (NodeId id : inputs_) DVS_ASSERT(is_valid(id));
-  for (const OutputPort& port : outputs_) DVS_ASSERT(is_valid(port.driver));
+  DVS_ASSERT(pins == entries);
 
   // Acyclicity via iterative DFS with colors.
   enum : std::uint8_t { kWhite, kGray, kBlack };

@@ -63,6 +63,9 @@ struct Node {
   int cell = -1;
   TruthTable function;
   bool constant_value = false;  // for kConstant nodes
+  /// How many output ports this node drives (kept by Network, like the
+  /// fanout list), so removal and sweeping never scan the port list.
+  int ports_driven = 0;
 
   std::vector<NodeId> fanins;
   std::vector<NodeId> fanouts;
@@ -163,7 +166,9 @@ class Network {
   void replace_fanin(NodeId node, NodeId old_fanin, NodeId new_fanin);
 
   /// Replaces every use of `old_node` (gate fanins and output ports) with
-  /// `new_node`, then marks `old_node` dead.
+  /// `new_node`, then marks `old_node` dead.  The moved readers join the
+  /// end of `new_node`'s fanout list in `old_node`'s list order; the cost
+  /// is proportional to the pins and ports moved.
   void replace_uses(NodeId old_node, NodeId new_node);
 
   /// Inserts a single-input gate (e.g. buffer or level converter) between
@@ -177,14 +182,17 @@ class Network {
   /// Marks the node dead.  It must have no remaining fanouts or port uses.
   void remove_node(NodeId id);
 
-  /// Removes gates that reach no primary output.  Returns #removed.
+  /// Removes gates that reach no primary output, working back from each
+  /// gate that has no reader.  Returns #removed.
   int sweep_dangling();
 
   /// Rebuilds the network without dead slots; node ids change.
   void compact();
 
-  /// Structural sanity check: fanin/fanout symmetry, acyclicity, live
-  /// references only.  Aborts (contract failure) on violation.
+  /// Structural sanity check: each fanout list holds exactly the readers
+  /// its node's fanins name (once per pin), live references only, port
+  /// counts, acyclicity.  Linear in the network's size; aborts (contract
+  /// failure) on violation.
   void check() const;
 
   /// Process-unique stamp renewed by every structural mutation (node or

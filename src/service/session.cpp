@@ -109,8 +109,12 @@ bool expired_at_dequeue(ServiceCore& core, Clock::time_point queued,
 std::string compute_body(const OptimizeRequest& request, ResolvedJob& job,
                          RequestTrace* trace) {
   const Library& lib = job.library();
+  const bool maps = job.unmapped.has_value();
+  const Clock::time_point map_start = Clock::now();
+  const Network& net = job.network();
+  if (trace && maps) trace->add("map", map_start, Clock::now(), /*depth=*/1);
   const PipelineJobResult result = run_pipeline_job(
-      job.network(), lib, request.options.to_flow_options(),
+      net, lib, request.options.to_flow_options(),
       job.circuit_seed, request.specs,
       /*capture_designs=*/request.return_netlist);
   Json::Object body = pipeline_body_object(result, trace);
@@ -176,8 +180,16 @@ const Library& ResolvedJob::library() {
 }
 
 const Network& ResolvedJob::network() {
-  if (!mapped) mapped.emplace(build_mcnc_circuit(library(), *descriptor));
-  return *mapped;
+  if (mapped) return *mapped;
+  if (descriptor)
+    return mapped.emplace(build_mcnc_circuit(library(), *descriptor));
+  DVS_EXPECTS(unmapped.has_value());
+  sweep_network(*unmapped);
+  Network net = map_paper_setup(*unmapped, library()).mapped;
+  if (net.num_gates() == 0)
+    throw ProtocolError("netlist has no gates to optimize");
+  unmapped.reset();
+  return mapped.emplace(std::move(net));
 }
 
 ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
@@ -228,17 +240,14 @@ ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
                           ? read_verilog_string(source.netlist, effective)
                           : read_blif_string(source.netlist);
   // Hash what the client sent; whether we must map it is derived state,
-  // captured by the mapping fingerprint.
+  // captured by the mapping fingerprint.  Mapping waits for network(),
+  // which only a miss computed here calls.
   job.key.topology = topology_hash(submitted);
   job.key.mapping = mapping_fingerprint(submitted);
-  if (fully_mapped(submitted) && submitted.num_gates() > 0) {
+  if (fully_mapped(submitted) && submitted.num_gates() > 0)
     job.mapped.emplace(std::move(submitted));
-  } else {
-    sweep_network(submitted);
-    job.mapped.emplace(map_paper_setup(submitted, effective).mapped);
-  }
-  if (job.mapped->num_gates() == 0)
-    throw ProtocolError("netlist has no gates to optimize");
+  else
+    job.unmapped.emplace(std::move(submitted));
   return job;
 }
 

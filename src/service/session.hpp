@@ -89,12 +89,16 @@ class KeyMemo {
 
 /// A request's circuit resolved into a job: the effective library
 /// (ladder-adjusted when the request pins a supply ladder), the circuit
-/// seed, the mapped network and the cache key's library, topology and
-/// mapping parts (the options part depends on the verb).  A named
-/// circuit's network and the adjusted library copy are built on first
-/// use — the cache-hit path needs neither.
+/// seed, the circuit and the cache key's library, topology and mapping
+/// parts (the options part depends on the verb).  The mapped network and
+/// the adjusted library copy are built on first use, which the
+/// cache-hit path and a miss the fleet answers never make: a named
+/// circuit is generated then, and an inline netlist, parsed and hashed
+/// by the resolver, is swept and mapped then (one sent fully mapped is
+/// used as sent).
 struct ResolvedJob {
   const McncDescriptor* descriptor = nullptr;  // named circuits only
+  std::optional<Network> unmapped;  // an inline netlist, until network()
   std::optional<Network> mapped;
   /// The effective library is always *derived* (never a stored pointer
   /// into this struct), so moves and copies of the job never dangle.
@@ -105,13 +109,15 @@ struct ResolvedJob {
   std::uint64_t circuit_seed = 0;
 
   const Library& library();
+  /// The mapped network, built on first use; throws the protocol's
+  /// no-gates error for an inline netlist that maps to no gates.
   const Network& network();
 };
 
 /// The one resolver: an MCNC name or an inline BLIF/Verilog netlist, at
 /// `lib`'s ladder or the one the options pin, into a job.  Throws the
-/// protocol's unknown-circuit, parse and no-gates errors.  `memo` (may be
-/// null) serves the key parts of repeat submissions.
+/// protocol's unknown-circuit and parse errors.  `memo` (may be null)
+/// serves the key parts of repeat submissions.
 ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
                         KeyMemo* memo);
 
@@ -123,7 +129,8 @@ ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
 /// the fleet cannot answer; the request must then name its circuit or
 /// carry its netlist.  Always records the cache-lookup histograms; with
 /// a non-null `trace`, appends the resolve / cache_lookup / execute /
-/// store phases plus depth-1 per-pass spans.
+/// store phases plus depth-1 spans inside execute: `map` when an inline
+/// netlist is mapped there, and one per pass.
 OptimizeOutcome execute_job(ServiceCore& core, const OptimizeRequest& request,
                             ResolvedJob& job, RequestTrace* trace,
                             bool allow_remote);

@@ -1,7 +1,7 @@
 #include "synth/decompose.hpp"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 #include "netlist/topo.hpp"
 #include "support/contracts.hpp"
@@ -97,7 +97,7 @@ namespace {
 class Decomposer {
  public:
   explicit Decomposer(const Network& src)
-      : src_(src), dst_(src.name()) {}
+      : src_(src), dst_(src.name()), map_(src.size(), kNoNode) {}
 
   Network run() {
     for (NodeId id : src_.inputs())
@@ -112,16 +112,30 @@ class Decomposer {
       map_[id] = build_gate(n);
     }
     for (const OutputPort& port : src_.outputs())
-      dst_.add_output(port.name, map_.at(port.driver));
+      dst_.add_output(port.name, mapped(port.driver));
     dst_.sweep_dangling();
     dst_.check();
     return std::move(dst_);
   }
 
  private:
+  NodeId mapped(NodeId src_id) const {
+    DVS_ASSERT(map_[src_id] != kNoNode);
+    return map_[src_id];
+  }
+
   NodeId inverted(NodeId id) {
-    auto [it, inserted] = inv_of_.emplace(id, kNoNode);
-    if (inserted) it->second = dst_.add_gate(tt_inv(), {id});
+    if (static_cast<std::size_t>(id) >= inv_of_.size())
+      inv_of_.resize(dst_.size(), kNoNode);
+    if (inv_of_[id] == kNoNode) inv_of_[id] = dst_.add_gate(tt_inv(), {id});
+    return inv_of_[id];
+  }
+
+  /// The SOP cover of `tt`, extracted once per distinct function.
+  const std::vector<Cube>& cover_of(const TruthTable& tt) {
+    auto [it, inserted] =
+        covers_[tt.num_vars].try_emplace(tt.bits & tt.mask());
+    if (inserted) it->second = extract_cubes(tt);
     return it->second;
   }
 
@@ -154,14 +168,14 @@ class Decomposer {
   }
 
   NodeId build_gate(const Node& n) {
-    const std::vector<Cube> cover = extract_cubes(n.function);
+    const std::vector<Cube>& cover = cover_of(n.function);
     if (cover.empty()) return dst_.add_constant(false);
     std::vector<NodeId> terms;
     for (const Cube& cube : cover) {
       std::vector<NodeId> literals;
       for (std::size_t i = 0; i < cube.size(); ++i) {
         if (cube[i] == 2) continue;
-        const NodeId f = map_.at(n.fanins[i]);
+        const NodeId f = mapped(n.fanins[i]);
         literals.push_back(cube[i] ? f : inverted(f));
       }
       if (literals.empty()) return dst_.add_constant(true);
@@ -172,8 +186,11 @@ class Decomposer {
 
   const Network& src_;
   Network dst_;
-  std::map<NodeId, NodeId> map_;
-  std::map<NodeId, NodeId> inv_of_;
+  std::vector<NodeId> map_;     // per source node: its node in dst_
+  std::vector<NodeId> inv_of_;  // per dst_ node: its inverter, if made
+  /// Per input count: each function's cover, keyed by its table bits.
+  std::unordered_map<std::uint64_t, std::vector<Cube>>
+      covers_[kMaxGateInputs + 1];
 };
 
 }  // namespace

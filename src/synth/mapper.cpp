@@ -1,7 +1,9 @@
 #include "synth/mapper.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <span>
 
 #include "netlist/elaborate.hpp"
 #include "netlist/topo.hpp"
@@ -13,6 +15,10 @@
 namespace dvs {
 
 namespace {
+
+/// No pattern has more pins than this (build_patterns checks it), so a
+/// match binds its leaves in a fixed array.
+constexpr int kMaxPatternPins = 4;
 
 /// Small builder for hand-written pattern trees.
 class PatternBuilder {
@@ -45,6 +51,7 @@ class PatternBuilder {
 std::vector<Pattern> build_patterns() {
   std::vector<Pattern> out;
   auto add = [&](const char* base, int vars, auto&& body) {
+    DVS_ASSERT(vars <= kMaxPatternPins);
     PatternBuilder b(base, vars);
     out.push_back(b.finish(body(b)));
   };
@@ -162,128 +169,127 @@ bool eval_pattern_node(const Pattern& p, int index,
 
 // ---- structural matching ------------------------------------------------
 
-struct Match {
+using Leaves = std::array<NodeId, kMaxPatternPins>;
+
+/// A pattern bound to the library cell one objective uses for it, with
+/// the cell's area and each pin's delay at the top rail and the nominal
+/// load: fixed for a whole cover, so computed once per cover.
+struct Candidate {
   const Pattern* pattern = nullptr;
-  int cell = -1;                  // concrete library cell chosen
-  std::vector<NodeId> leaf_of_var;  // subject node bound to each pin
+  int cell = -1;
+  double area = 0.0;
+  std::array<double, kMaxPatternPins> pin_delay{};
 };
 
-class Matcher {
- public:
-  Matcher(const Network& net, const Library& lib, MapObjective objective)
-      : net_(net), lib_(lib), objective_(objective) {
-    for (const Pattern& p : mapper_patterns()) {
-      const int smallest = lib_.smallest_of(p.cell_base);
-      if (smallest < 0) continue;
-      int cell = smallest;
-      if (objective_ == MapObjective::kDelay) {
-        const auto variants = lib_.variants_of(smallest);
-        if (variants.size() > 1) cell = variants[1];
-      }
-      patterns_.emplace_back(&p, cell);
-    }
-  }
+struct Match {
+  const Candidate* candidate = nullptr;
+  Leaves leaves{};  // subject node bound to each pin
 
-  std::vector<Match> matches_at(NodeId root) const {
-    std::vector<Match> result;
-    for (const auto& [pattern, cell] : patterns_) {
-      std::vector<NodeId> bind(pattern->num_vars, kNoNode);
-      if (try_match(*pattern, pattern->root, root, /*is_root=*/true,
-                    bind)) {
-        Match m;
-        m.pattern = pattern;
-        m.cell = cell;
-        m.leaf_of_var = std::move(bind);
-        result.push_back(std::move(m));
-      }
-    }
-    return result;
+  /// The bound leaves in pin order; none for a constant.
+  std::span<const NodeId> pins() const {
+    return {leaves.data(),
+            candidate ? static_cast<std::size_t>(candidate->pattern->num_vars)
+                      : 0};
   }
-
- private:
-  bool try_match(const Pattern& p, int pindex, NodeId s, bool is_root,
-                 std::vector<NodeId>& bind) const {
-    const PatternNode& pn = p.nodes[pindex];
-    if (pn.kind == PatternNode::Kind::kLeaf) {
-      if (bind[pn.var] == kNoNode) {
-        bind[pn.var] = s;
-        return true;
-      }
-      return bind[pn.var] == s;
-    }
-    const Node& node = net_.node(s);
-    if (!node.is_gate()) return false;
-    // Interior subject nodes consumed by the pattern must be
-    // single-fanout (classic tree-covering rule).
-    if (!is_root && node.fanouts.size() != 1) return false;
-    if (pn.kind == PatternNode::Kind::kInv) {
-      if (!(node.function == tt_inv())) return false;
-      return try_match(p, pn.child0, node.fanins[0], false, bind);
-    }
-    if (!(node.function == tt_nand(2))) return false;
-    // NAND is commutative: try both child orders with backtracking.
-    std::vector<NodeId> saved = bind;
-    if (try_match(p, pn.child0, node.fanins[0], false, bind) &&
-        try_match(p, pn.child1, node.fanins[1], false, bind))
-      return true;
-    bind = saved;
-    if (try_match(p, pn.child0, node.fanins[1], false, bind) &&
-        try_match(p, pn.child1, node.fanins[0], false, bind))
-      return true;
-    bind = saved;
-    return false;
-  }
-
-  const Network& net_;
-  const Library& lib_;
-  MapObjective objective_;
-  std::vector<std::pair<const Pattern*, int>> patterns_;
 };
+
+/// Binds pattern node `pindex`, matched at subject node `s`, extending
+/// `bind` (the subject node bound to each pin); false when it does not
+/// match there.
+bool try_match(const Network& net, const Pattern& p, int pindex, NodeId s,
+               bool is_root, Leaves& bind) {
+  const PatternNode& pn = p.nodes[pindex];
+  if (pn.kind == PatternNode::Kind::kLeaf) {
+    if (bind[pn.var] == kNoNode) {
+      bind[pn.var] = s;
+      return true;
+    }
+    return bind[pn.var] == s;
+  }
+  const Node& node = net.node(s);
+  if (!node.is_gate()) return false;
+  // Interior subject nodes consumed by the pattern must be
+  // single-fanout (classic tree-covering rule).
+  if (!is_root && node.fanouts.size() != 1) return false;
+  if (pn.kind == PatternNode::Kind::kInv) {
+    if (!(node.function == tt_inv())) return false;
+    return try_match(net, p, pn.child0, node.fanins[0], false, bind);
+  }
+  if (!(node.function == tt_nand(2))) return false;
+  // NAND is commutative: try both child orders with backtracking.
+  const Leaves saved = bind;
+  if (try_match(net, p, pn.child0, node.fanins[0], false, bind) &&
+      try_match(net, p, pn.child1, node.fanins[1], false, bind))
+    return true;
+  bind = saved;
+  if (try_match(net, p, pn.child0, node.fanins[1], false, bind) &&
+      try_match(net, p, pn.child1, node.fanins[0], false, bind))
+    return true;
+  bind = saved;
+  return false;
+}
 
 // ---- covering -------------------------------------------------------------
 
 class Cover {
  public:
   Cover(const Network& subject, const Library& lib, MapObjective objective)
-      : subject_(subject),
-        lib_(lib),
-        objective_(objective),
-        matcher_(subject, lib, objective) {}
+      : subject_(subject), lib_(lib), objective_(objective) {
+    for (const Pattern& p : mapper_patterns()) {
+      const int smallest = lib_.smallest_of(p.cell_base);
+      if (smallest < 0) continue;
+      Candidate c{&p, smallest};
+      if (objective_ == MapObjective::kDelay) {
+        const auto variants = lib_.variants_of(smallest);
+        if (variants.size() > 1) c.cell = variants[1];
+      }
+      const Cell& cell = lib_.cell(c.cell);
+      c.area = cell.area;
+      for (int var = 0; var < p.num_vars; ++var)
+        c.pin_delay[var] =
+            arc_delay(lib_, cell, var, lib_.vdd_high(), kNominalLoad).max();
+      candidates_.push_back(c);
+    }
+  }
 
   MapResult run() {
     best_cost_.assign(subject_.size(),
                       std::numeric_limits<double>::infinity());
     best_match_.assign(subject_.size(), Match{});
 
+    Leaves bind;
     for (NodeId id : topo_order(subject_)) {
       const Node& n = subject_.node(id);
       if (!n.is_gate()) {
         best_cost_[id] = 0.0;
         continue;
       }
-      for (Match& m : matcher_.matches_at(id)) {
+      Match& best = best_match_[id];
+      for (const Candidate& c : candidates_) {
+        bind.fill(kNoNode);
+        if (!try_match(subject_, *c.pattern, c.pattern->root, id,
+                       /*is_root=*/true, bind))
+          continue;
         double cost;
-        const Cell& cell = lib_.cell(m.cell);
         if (objective_ == MapObjective::kArea) {
-          cost = cell.area;
-          for (NodeId leaf : m.leaf_of_var) cost += best_cost_[leaf];
+          cost = c.area;
+          for (int var = 0; var < c.pattern->num_vars; ++var)
+            cost += best_cost_[bind[var]];
         } else {
           cost = 0.0;
-          for (int var = 0;
-               var < static_cast<int>(m.leaf_of_var.size()); ++var) {
-            const NodeId leaf = m.leaf_of_var[var];
-            const RiseFall d =
-                arc_delay(lib_, cell, var, lib_.vdd_high(),
-                          kNominalLoad);
-            cost = std::max(cost, best_cost_[leaf] + d.max());
-          }
+          for (int var = 0; var < c.pattern->num_vars; ++var)
+            cost = std::max(cost, best_cost_[bind[var]] + c.pin_delay[var]);
         }
-        if (cost < best_cost_[id]) {
+        // The first match stands even at infinite cost: the area sum
+        // counts a cone once per reader, so on reconvergent logic it can
+        // overflow.  Later matches must be strictly cheaper, which leaves
+        // every finite-cost cover as it was.
+        if (best.candidate == nullptr || cost < best_cost_[id]) {
           best_cost_[id] = cost;
-          best_match_[id] = std::move(m);
+          best = Match{&c, bind};
         }
       }
-      DVS_ASSERT(best_match_[id].pattern != nullptr);
+      DVS_ASSERT(best.candidate != nullptr);
     }
 
     MapResult result{Network(subject_.name()), 0.0, 0.0};
@@ -313,18 +319,17 @@ class Cover {
   NodeId emit(NodeId root, Network& mapped) {
     return elaborate(
         root, emitted_,
-        [&](NodeId id) -> const std::vector<NodeId>& {
-          return best_match_[id].leaf_of_var;  // empty for a constant
-        },
+        [&](NodeId id) { return best_match_[id].pins(); },
         [](NodeId leaf, NodeId /*user*/) { return leaf; },
         [&](NodeId id, std::vector<NodeId> fanins) {
           const Node& n = subject_.node(id);
           if (n.is_constant())
             return mapped.add_constant(n.constant_value, n.name);
           const Match& m = best_match_[id];
-          DVS_ASSERT(m.pattern != nullptr);
-          return mapped.add_gate(lib_.cell(m.cell).function,
-                                 std::move(fanins), m.cell, n.name);
+          DVS_ASSERT(m.candidate != nullptr);
+          const int cell = m.candidate->cell;
+          return mapped.add_gate(lib_.cell(cell).function, std::move(fanins),
+                                 cell, n.name);
         },
         [](NodeId) { DVS_ASSERT(!"a subject network is acyclic"); });
   }
@@ -332,11 +337,21 @@ class Cover {
   const Network& subject_;
   const Library& lib_;
   MapObjective objective_;
-  Matcher matcher_;
+  std::vector<Candidate> candidates_;  // pattern order: ties keep the first
   std::vector<double> best_cost_;
   std::vector<Match> best_match_;
   std::vector<NodeId> emitted_;  // per subject node, for elaborate()
 };
+
+/// The NAND2/INV graph both covers read: a swept copy of `net`,
+/// decomposed and swept again.
+Network subject_graph(const Network& net) {
+  Network prepared = net;  // copy: sweeping mutates
+  sweep_network(prepared);
+  Network subject = decompose_to_nand2(prepared);
+  sweep_network(subject);
+  return subject;
+}
 
 }  // namespace
 
@@ -351,22 +366,20 @@ bool pattern_eval(const Pattern& pattern, std::uint32_t assignment) {
 
 MapResult map_network(const Network& net, const Library& lib,
                       MapObjective objective) {
-  Network prepared = net;  // copy: sweeping mutates
-  sweep_network(prepared);
-  Network subject = decompose_to_nand2(prepared);
-  sweep_network(subject);
+  const Network subject = subject_graph(net);
   return Cover(subject, lib, objective).run();
 }
 
 PaperSetupResult map_paper_setup(const Network& net, const Library& lib,
                                  double relax) {
-  MapResult delay_map = map_network(net, lib, MapObjective::kDelay);
+  const Network subject = subject_graph(net);
+  MapResult delay_map = Cover(subject, lib, MapObjective::kDelay).run();
   const StaResult delay_sta = run_sta(delay_map.mapped, lib, -1.0);
   PaperSetupResult result;
   result.tmin = delay_sta.worst_arrival;
   result.tspec = result.tmin * (1.0 + relax);
 
-  MapResult area_map = map_network(net, lib, MapObjective::kArea);
+  MapResult area_map = Cover(subject, lib, MapObjective::kArea).run();
   const StaResult area_sta = run_sta(area_map.mapped, lib, -1.0);
   if (area_sta.worst_arrival <= result.tspec)
     result.mapped = std::move(area_map.mapped);

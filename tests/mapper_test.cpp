@@ -125,5 +125,30 @@ TEST_P(MapRandomTest, RandomNetworksMapCorrectly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MapRandomTest, ::testing::Range(0, 40));
 
+/// Each gate of this chain reads the two before it, so every cone is read
+/// twice and the area objective's summed leaf costs grow like the
+/// Fibonacci numbers: past 1,467 gates no match has a finite cost.
+TEST(MapperReconvergence, FibonacciChainMapsToAnEquivalentNetwork) {
+  static const Library lib = build_compass_library();
+  Network net("fib");
+  NodeId prev2 = net.add_input("a");
+  NodeId prev1 = net.add_input("b");
+  for (int i = 0; i < 2000; ++i) {
+    const NodeId g = net.add_gate(tt_nand(2), {prev2, prev1});
+    prev2 = prev1;
+    prev1 = g;
+  }
+  net.add_output("y", prev1);
+  const PaperSetupResult setup = map_paper_setup(net, lib);
+  EXPECT_GT(setup.tspec, setup.tmin);
+  const BitSimulator mapped(setup.mapped), source(net);
+  Rng rng(11);
+  for (int batch = 0; batch < 4; ++batch) {
+    const std::vector<std::uint64_t> words = {rng.next_u64(), rng.next_u64()};
+    EXPECT_EQ(mapped.simulate(words)[setup.mapped.outputs()[0].driver],
+              source.simulate(words)[net.outputs()[0].driver]);
+  }
+}
+
 }  // namespace
 }  // namespace dvs

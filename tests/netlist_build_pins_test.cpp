@@ -2,24 +2,29 @@
 // (and BLIF line) of the readers' undefined-name, cycle and undriven-output
 // errors; the node order of netlists read back from BLIF and from
 // Verilog with their statements shuffled; and the mapped networks of the
-// 39 MCNC stand-ins.  Node ids feed topology hashes, mapping fingerprints,
-// cache keys and every float fold in the timing and power engines, so a
-// builder may change how it walks a netlist but never the order in which
-// it creates nodes.  A failure prints the dump it hashed.
+// 39 MCNC stand-ins, with their subject graphs, fanout lists and timing
+// constraints.  Node ids feed topology hashes, mapping fingerprints,
+// cache keys and every float fold in the timing and power engines, and
+// fanout lists set the order `topo_order` walks, so a builder may change
+// how it walks or edits a netlist but never the order in which it creates
+// nodes or lists their readers.  A failure prints the dump it hashed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "benchgen/mcnc.hpp"
+#include "benchgen/random_dag.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/verilog.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "synth/decompose.hpp"
 #include "synth/mapper.hpp"
 #include "synth/sweep.hpp"
 
@@ -287,6 +292,68 @@ TEST(MappedOrder, McncStandInsAfterBlifRoundTrip) {
     dump += line;
   }
   expect_pinned(0xe2247144d83c8f8aULL, dump, "mapped networks");
+}
+
+/// One line per live node in id order (kind, name, cell, function, fanin
+/// ids, then its fanout list in order), then the output ports.
+std::string structure(const Network& net) {
+  std::ostringstream out;
+  net.for_each_node([&](const Node& n) {
+    out << n.id << ' ' << static_cast<int>(n.kind) << ' ' << n.name << ' '
+        << n.cell << ' ' << n.function.num_vars << ':' << n.function.bits
+        << ' ' << n.constant_value << " <-";
+    for (NodeId f : n.fanins) out << ' ' << f;
+    out << " ->";
+    for (NodeId f : n.fanouts) out << ' ' << f;
+    out << '\n';
+  });
+  for (const OutputPort& port : net.outputs())
+    out << "port " << port.name << " = " << port.driver << '\n';
+  return out.str();
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+/// The 39 stand-ins as MappedOrder reads them, plus a 2,500-gate hybrid
+/// circuit: the subject graph the mapper covers (a copy swept,
+/// decomposed to NAND2/INV and swept again), the mapped network with
+/// every fanout list in order, and the bits of tmin and tspec.
+TEST(MappedOrder, SubjectGraphsFanoutListsAndConstraints) {
+  std::vector<Network> circuits;
+  for (const McncDescriptor& d : mcnc_suite())
+    circuits.push_back(build_mcnc_circuit(lib(), d));
+  HybridSpec spec;
+  spec.gates = 2500;
+  spec.pis = 32;
+  spec.pos = 16;
+  spec.critical_fraction = 0.35;
+  spec.seed = 23;
+  circuits.push_back(build_hybrid_circuit(lib(), spec, "hybrid2500"));
+  std::string dump;
+  for (const Network& circuit : circuits) {
+    Network net = read_blif_string(write_blif_string(circuit));
+    sweep_network(net);
+    Network subject = net;
+    sweep_network(subject);
+    subject = decompose_to_nand2(subject);
+    sweep_network(subject);
+    const PaperSetupResult setup = map_paper_setup(net, lib());
+    char line[160];
+    std::snprintf(
+        line, sizeof line, "%s %016llx %016llx %016llx %016llx\n",
+        circuit.name().c_str(),
+        static_cast<unsigned long long>(fnv1a64(structure(subject))),
+        static_cast<unsigned long long>(fnv1a64(structure(setup.mapped))),
+        static_cast<unsigned long long>(bits_of(setup.tmin)),
+        static_cast<unsigned long long>(bits_of(setup.tspec)));
+    dump += line;
+  }
+  expect_pinned(0x9d1b813728690cb3ULL, dump,
+                "subject graphs, fanout lists and constraints");
 }
 
 }  // namespace

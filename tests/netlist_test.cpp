@@ -92,6 +92,29 @@ TEST(Netlist, ReplaceUses) {
   net.check();
 }
 
+TEST(Netlist, ReplaceUsesAppendsReadersInPinOrder) {
+  // The moved readers join the new node's fanout list after its own, in
+  // the old node's list order, once per pin; topo_order walks that list.
+  Network net("t");
+  const NodeId a = net.add_input("a");
+  const NodeId b = net.add_input("b");
+  const NodeId g1 = net.add_gate(tt_inv(), {a});
+  const NodeId g2 = net.add_gate(tt_and(2), {g1, g1});
+  const NodeId g3 = net.add_gate(tt_and(2), {b, g1});
+  const NodeId g4 = net.add_gate(tt_inv(), {b});
+  net.add_output("y", g2);
+  net.add_output("z", g3);
+  net.add_output("w", g4);
+  net.add_output("v", g1);
+  net.replace_uses(g1, b);
+  EXPECT_EQ(net.node(b).fanouts, (std::vector<NodeId>{g3, g4, g2, g2, g3}));
+  EXPECT_EQ(net.node(g2).fanins, (std::vector<NodeId>{b, b}));
+  EXPECT_EQ(net.node(g3).fanins, (std::vector<NodeId>{b, b}));
+  EXPECT_TRUE(net.node(a).fanouts.empty());
+  EXPECT_EQ(net.outputs()[3].driver, b);
+  net.check();
+}
+
 TEST(Netlist, SweepDanglingCascades) {
   Network net("t");
   const NodeId a = net.add_input("a");
@@ -151,6 +174,56 @@ TEST(Netlist, TransitiveCones) {
   net.for_each_node([&](const Node& n) { EXPECT_TRUE(fanin[n.id]); });
   const auto fanout = transitive_fanout(net, {net.inputs()[0]});
   EXPECT_TRUE(fanout[po_driver]);
+}
+
+// ---- Network::check catches every broken invariant ---------------------
+
+Network chain_of_two() {
+  Network net("t");
+  const NodeId a = net.add_input("a");
+  const NodeId b = net.add_input("b");
+  const NodeId g1 = net.add_gate(tt_nand(2), {a, b});
+  const NodeId g2 = net.add_gate(tt_nand(2), {g1, a});
+  net.add_output("y", g2);
+  net.check();
+  return net;
+}
+
+TEST(NetlistCheckDeathTest, MissingFanoutEntry) {
+  Network net = chain_of_two();
+  net.node(0).fanouts = {3};  // a is read by g1 and g2
+  EXPECT_DEATH(net.check(), "violation");
+}
+
+TEST(NetlistCheckDeathTest, ExtraFanoutEntry) {
+  Network net = chain_of_two();
+  net.node(1).fanouts.push_back(2);  // b is read by g1 once
+  EXPECT_DEATH(net.check(), "violation");
+}
+
+TEST(NetlistCheckDeathTest, FaninReadOnTwoPinsListedOnce) {
+  Network net("t");
+  const NodeId a = net.add_input("a");
+  const NodeId g = net.add_gate(tt_and(2), {a, a});
+  net.add_output("y", g);
+  net.check();
+  net.node(a).fanouts.pop_back();
+  EXPECT_DEATH(net.check(), "violation");
+}
+
+TEST(NetlistCheckDeathTest, DeadFanin) {
+  Network net = chain_of_two();
+  net.node(2).dead = true;  // g2 still reads g1
+  EXPECT_DEATH(net.check(), "violation");
+}
+
+TEST(NetlistCheckDeathTest, Cycle) {
+  Network net = chain_of_two();
+  // g1 reads g2 instead of b, with both fanout lists kept symmetric.
+  net.node(2).fanins[1] = 3;
+  net.node(1).fanouts.clear();
+  net.node(3).fanouts.push_back(2);
+  EXPECT_DEATH(net.check(), "violation");
 }
 
 }  // namespace

@@ -10,18 +10,24 @@
 #include <cstdlib>
 #include <functional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 
+#include "benchgen/mcnc.hpp"
 #include "core/suite.hpp"
 #include "library/library.hpp"
 #include "netlist/blif.hpp"
+#include "netlist/stats.hpp"
 #include "netlist/verilog.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/session.hpp"
 #include "support/json.hpp"
 #include "support/socket.hpp"
 #include "support/version.hpp"
+#include "synth/mapper.hpp"
+#include "synth/sweep.hpp"
 
 namespace dvs {
 namespace {
@@ -247,6 +253,116 @@ TEST_F(ServiceTest, BlifAndVerilogSubmissionsShareOneCacheEntry) {
   EXPECT_EQ(second.find("cache")->as_string(), "hit");
   EXPECT_EQ(comparable(*second.find("report")),
             comparable(*first.find("report")));
+}
+
+/// One line per live node in id order (name, cell, function, fanin and
+/// fanout ids), then the output ports.
+std::string structure(const Network& net) {
+  std::ostringstream out;
+  net.for_each_node([&](const Node& n) {
+    out << n.id << ' ' << n.name << ' ' << n.cell << ' ' << n.function.bits
+        << " <-";
+    for (NodeId f : n.fanins) out << ' ' << f;
+    out << " ->";
+    for (NodeId f : n.fanouts) out << ' ' << f;
+    out << '\n';
+  });
+  for (const OutputPort& port : net.outputs())
+    out << port.name << " = " << port.driver << '\n';
+  return out.str();
+}
+
+/// The resolver parses and hashes an unmapped inline netlist; mapping it
+/// is left to the first network() call, which a cache hit never makes.
+TEST(ResolveJob, InlineBlifMapsOnFirstUse) {
+  const Library lib = build_compass_library();
+  CircuitSource source;
+  source.netlist = kDemoBlif;
+  ResolvedJob job = resolve_job(source, lib, nullptr);
+  EXPECT_FALSE(job.mapped.has_value());
+
+  Network parsed = read_blif_string(kDemoBlif);
+  EXPECT_EQ(job.key.topology, topology_hash(parsed));
+  EXPECT_EQ(job.key.mapping, mapping_fingerprint(parsed));
+  sweep_network(parsed);
+  const PaperSetupResult setup = map_paper_setup(parsed, lib);
+  EXPECT_EQ(structure(job.network()), structure(setup.mapped));
+  EXPECT_EQ(&job.network(), &*job.mapped);
+}
+
+TEST(ResolveJob, MappedVerilogIsUsedAsSent) {
+  const Library lib = build_compass_library();
+  const std::string verilog =
+      write_verilog_string(build_mcnc_circuit(lib, *find_mcnc("x2")), lib);
+  CircuitSource source;
+  source.netlist = verilog;
+  source.format = "verilog";
+  ResolvedJob job = resolve_job(source, lib, nullptr);
+  ASSERT_TRUE(job.mapped.has_value());
+  const Network parsed = read_verilog_string(verilog, lib);
+  EXPECT_EQ(structure(*job.mapped), structure(parsed));
+  EXPECT_EQ(job.key.topology, topology_hash(parsed));
+  EXPECT_EQ(job.key.mapping, mapping_fingerprint(parsed));
+}
+
+TEST_F(ServiceTest, NetlistThatMapsToNoGatesIsRejected) {
+  // y = f(a, b) = a: one gate in the text, none once mapped.
+  Json::Object request;
+  request["type"] = Json("optimize");
+  request["id"] = Json(5);
+  request["netlist"] =
+      Json(std::string(".model wire\n.inputs a b\n.outputs y\n"
+                       ".names a b y\n1- 1\n.end\n"));
+  Client client(port());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    client.send(Json(request).dump());
+    const Json reply = client.recv();
+    ASSERT_EQ(reply.find("type")->as_string(), "error") << reply.dump();
+    EXPECT_EQ(reply.find("message")->as_string(),
+              "netlist has no gates to optimize");
+    EXPECT_EQ(reply.find("code"), nullptr) << reply.dump();
+    EXPECT_EQ(reply.find("id")->as_int(), 5);
+  }
+  client.send(R"({"type":"ping"})");
+  EXPECT_EQ(client.recv().find("type")->as_string(), "pong");
+}
+
+/// A chain of `gates` NANDs, each reading the two nets before it: the
+/// shape whose area-recovery cost (a cone read twice counts twice) grows
+/// like the Fibonacci numbers and overflows past 1,467 gates.
+std::string reconvergent_chain(int gates) {
+  std::ostringstream text;
+  text << ".model fib\n.inputs a b\n.outputs n" << gates - 1 << '\n';
+  const auto net = [&](int i) {
+    if (i < 0)
+      text << (i == -2 ? "a" : "b");
+    else
+      text << 'n' << i;
+  };
+  for (int i = 0; i < gates; ++i) {
+    text << ".names ";
+    net(i - 2);
+    text << ' ';
+    net(i - 1);
+    text << ' ';
+    net(i);
+    text << "\n11 0\n";
+  }
+  text << ".end\n";
+  return text.str();
+}
+
+TEST_F(ServiceTest, ReconvergentInlineNetlistGetsAResult) {
+  Json::Object request;
+  request["type"] = Json("optimize");
+  request["netlist"] = Json(reconvergent_chain(2000));
+  request["algos"] = Json(Json::Array{Json("cvs")});
+  Client client(port());
+  client.send(Json(request).dump());
+  const Json reply = client.recv();
+  ASSERT_EQ(reply.find("type")->as_string(), "result") << reply.dump();
+  client.send(R"({"type":"ping"})");
+  EXPECT_EQ(client.recv().find("type")->as_string(), "pong");
 }
 
 TEST_F(ServiceTest, ReturnNetlistRoundTrips) {
@@ -810,6 +926,52 @@ TEST_F(ServiceTest, TraceSpansTileTheRequest) {
     EXPECT_TRUE(reopt_phases.count(phase)) << phase;
   const double reopt_wall = reopt.find("wall_ms")->as_double();
   EXPECT_NEAR(reopt_depth0, reopt_wall, std::max(0.05 * reopt_wall, 1.0));
+}
+
+/// An inline netlist is mapped inside the execute phase of a miss, under
+/// a depth-1 `map` span; a hit never maps, so its trace has no such span.
+TEST_F(ServiceTest, InlineMissTracesItsMapping) {
+  Json::Object request;
+  request["type"] = Json("optimize");
+  request["netlist"] = Json(std::string(kDemoBlif));
+  request["algos"] = Json(Json::Array{Json("cvs")});
+  request["trace"] = Json(true);
+  Client client(port());
+  for (const char* cache : {"miss", "hit"}) {
+    client.send(Json(request).dump());
+    const Json reply = client.recv();
+    ASSERT_EQ(reply.find("type")->as_string(), "result") << reply.dump();
+    EXPECT_EQ(reply.find("cache")->as_string(), cache);
+    const Json* execute = nullptr;
+    std::vector<const Json*> maps;
+    double depth0 = 0.0;
+    for (const Json& span : reply.find("trace")->as_array()) {
+      const std::string& name = span.find("name")->as_string();
+      if (span.find("depth")->as_int() == 0) {
+        depth0 += span.find("dur_ms")->as_double();
+        if (name == "execute") execute = &span;
+      }
+      if (name == "map") maps.push_back(&span);
+    }
+    const double wall = reply.find("wall_ms")->as_double();
+    EXPECT_NEAR(depth0, wall, std::max(0.05 * wall, 1.0));
+    if (std::string(cache) == "hit") {
+      EXPECT_EQ(execute, nullptr);
+      EXPECT_TRUE(maps.empty());
+      continue;
+    }
+    ASSERT_NE(execute, nullptr);
+    ASSERT_EQ(maps.size(), 1u);
+    const auto start = [](const Json* span) {
+      return span->find("start_ms")->as_double();
+    };
+    const auto end = [&](const Json* span) {
+      return start(span) + span->find("dur_ms")->as_double();
+    };
+    EXPECT_EQ(maps[0]->find("depth")->as_int(), 1);
+    EXPECT_GE(start(maps[0]), start(execute) - 1e-6);
+    EXPECT_LE(end(maps[0]), end(execute) + 1e-6);
+  }
 }
 
 /// Design pool jobs run through the one job path: open_design and each
