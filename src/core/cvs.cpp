@@ -22,9 +22,8 @@ SupplyId cluster_rung_limit(const Design& design, const Node& gate) {
   return limit;
 }
 
-}  // namespace
-
-CvsResult run_cvs(Design& design, const CvsOptions& options) {
+CvsResult cvs_sweep(Design& design, const CvsOptions& options,
+                    bool with_tcb) {
   const Network& net = design.network();
   CvsResult result;
 
@@ -63,9 +62,20 @@ CvsResult run_cvs(Design& design, const CvsOptions& options) {
       break;
     }
   });
-  result.tcb = compute_tcb(design.timing_context(), timer.result());
+  if (with_tcb)
+    result.tcb = compute_tcb(design.timing_context(), timer.result());
   result.required_evaluations = timer.required_evaluations();
   return result;
+}
+
+}  // namespace
+
+CvsResult run_cvs(Design& design, const CvsOptions& options) {
+  return cvs_sweep(design, options, /*with_tcb=*/false);
+}
+
+CvsResult run_cvs_with_tcb(Design& design, const CvsOptions& options) {
+  return cvs_sweep(design, options, /*with_tcb=*/true);
 }
 
 bool cvs_cluster_invariant_holds(const Design& design) {

@@ -21,16 +21,21 @@ struct CvsOptions {
 
 struct CvsResult {
   int num_lowered = 0;  // gates lowered by this invocation
-  /// Timing-critical boundary at exit (see timing/tcb.hpp).
+  /// Timing-critical boundary at exit (see timing/tcb.hpp); empty unless
+  /// run_cvs_with_tcb computed it.
   std::vector<NodeId> tcb;
   /// Required times the run evaluated: one per live node, plus one per
   /// lowering (a work count; see IncrementalSta::sweep).
   std::int64_t required_evaluations = 0;
 };
 
-/// Runs CVS on the design's current state; safe to call repeatedly (Gscale
-/// re-invokes it after every sizing step to push the TCB).
+/// Runs CVS on the design's current state; safe to call repeatedly.
 CvsResult run_cvs(Design& design, const CvsOptions& options = {});
+
+/// run_cvs, plus the timing-critical boundary at exit, computed from the
+/// run's own final timing (Gscale re-invokes it after every sizing step
+/// to push the TCB).
+CvsResult run_cvs_with_tcb(Design& design, const CvsOptions& options = {});
 
 /// Invariant checker used by tests: no gate sits deeper than any of its
 /// gate fanouts (cluster contingency), and no level converter flag is set.

@@ -79,7 +79,7 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
   const double area_budget =
       design.original_area() * (1.0 + options.area_budget_ratio);
 
-  CvsResult cvs = run_cvs(design, options.cvs);
+  CvsResult cvs = run_cvs_with_tcb(design, options.cvs);
   result.cvs_lowered += cvs.num_lowered;
   std::vector<NodeId> tcb = std::move(cvs.tcb);
 
@@ -125,7 +125,7 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
 
     apply_cut_resizes(design, sta, cut_nodes, area_budget);
 
-    CvsResult push = run_cvs(design, options.cvs);
+    CvsResult push = run_cvs_with_tcb(design, options.cvs);
     result.cvs_lowered += push.num_lowered;
     ++result.iterations;
 

@@ -29,8 +29,12 @@ std::string describe(const NetworkStats& stats);
 /// positions, gate truth tables, fanin wiring, output port order) that is
 /// invariant to node ids, node/port names, dead slots, and gate pin
 /// permutations (the table is re-permuted into a canonical pin order) —
-/// so it is stable across BLIF <-> Verilog round trips, which permute
-/// ids, reorder SOP literals, and sanitize names.  Deliberately *excludes* the cell binding: topology is
+/// so a reader that permutes ids, reorders SOP literals or sanitizes names
+/// does not move it.  A Verilog round trip keeps it.  A BLIF round trip of
+/// a mapped circuit does not: the text drives each output port through a
+/// buffer of its own, so the network read back has one more gate per port
+/// (x2: 39 -> 50 gates, 228e677f0a472648 -> 469531b57f9d0cee).
+/// Deliberately *excludes* the cell binding: topology is
 /// what the netlist computes, not how it is sized (see
 /// mapping_fingerprint for the binding).  Dangling logic still counts:
 /// it contributes power, so two netlists differing only in unreferenced

@@ -5,9 +5,12 @@
 // sized, the canonicalized flow options, the library).  Those four
 // ingredients — topology_hash, mapping_fingerprint (netlist/stats.hpp),
 // an FNV-1a over the canonical options JSON, and Library::fingerprint —
-// form the key, so the same circuit submitted as BLIF text, as Verilog
-// text, or by MCNC name hits the same entry (serialization round trips
-// do not change the hashes).
+// form the key.  The netlist hashes ignore node ids, names and pin order,
+// so texts that spell one netlist differently share an entry.  A text
+// form keeps the hashes only if it keeps what they hash: a Verilog round
+// trip keeps both, while a BLIF round trip of a mapped circuit drops its
+// cells and adds one buffer per output port, so that text keys an entry
+// of its own and is mapped again.
 //
 // Capacity is accounted in BYTES of resident payload, not entries: one
 // batch of large netlists must not blow the daemon's memory just because

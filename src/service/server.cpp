@@ -16,6 +16,7 @@ void ServiceCore::init(const Library* injected) {
                             : &owned_lib.emplace(build_compass_library());
   pool.emplace(config.num_threads);
   cache.emplace(config.cache_bytes);
+  memo.emplace(config.cache_bytes);
   if (!config.cache_dir.empty()) disk.emplace(config.cache_dir);
   backlog_watermark =
       config.max_backlog > 0
@@ -140,6 +141,17 @@ void ServiceCore::init_metrics() {
       {{"mode", "full"}});
   Counter& design_sweep_cells = registry.counter(
       "dvsd_design_sweep_cells_total", "Sweep matrix cells computed.");
+  // The resolver's memo, mirrored from its own stats.
+  Counter& inline_parses = registry.counter(
+      "dvsd_resolver_inline_parses_total",
+      "Inline netlist texts parsed by the optimize resolver.");
+  Counter& memo_hits = registry.counter(
+      "dvsd_resolver_memo_hits_total",
+      "Inline netlist texts resolved from the memo without a parse.");
+  Gauge& memo_entries = registry.gauge(
+      "dvsd_resolver_memo_entries", "Inline texts resident in the memo.");
+  Gauge& memo_bytes = registry.gauge(
+      "dvsd_resolver_memo_bytes", "Text bytes of the memo's inline slots.");
   registry.register_collector([this, &mem_hits, &mem_misses, &disk_hits,
                                &disk_misses, &evictions, &rejected, &entries,
                                &bytes, &capacity, &disk_writes,
@@ -149,7 +161,9 @@ void ServiceCore::init_metrics() {
                                &designs_bytes, &design_opened, &design_closed,
                                &design_expired, &design_evicted,
                                &design_edits, &design_reopt_incr,
-                               &design_reopt_full, &design_sweep_cells] {
+                               &design_reopt_full, &design_sweep_cells,
+                               &inline_parses, &memo_hits, &memo_entries,
+                               &memo_bytes] {
     const CacheStats cs = cache->stats();
     mem_hits.set(cs.hits);
     mem_misses.set(cs.misses);
@@ -184,6 +198,11 @@ void ServiceCore::init_metrics() {
     design_reopt_incr.set(drs.reoptimize_incremental);
     design_reopt_full.set(drs.reoptimize_full);
     design_sweep_cells.set(drs.sweep_cells);
+    const KeyMemoStats ms = memo->stats();
+    inline_parses.set(ms.inline_parses);
+    memo_hits.set(ms.hits);
+    memo_entries.set(static_cast<double>(ms.entries));
+    memo_bytes.set(static_cast<double>(ms.bytes));
   });
 }
 

@@ -53,7 +53,8 @@ struct ServiceConfig {
   std::string unix_path;
   /// Flow workers (0 = hardware concurrency).
   int num_threads = 0;
-  /// In-memory result-cache budget in bytes of resident payload.
+  /// In-memory result-cache budget in bytes of resident payload; it
+  /// bounds the resolver memo's inline texts separately.
   std::size_t cache_bytes = 256u << 20;
   /// Disk tier directory (empty = in-memory only).  Entries written
   /// here survive daemon restarts: the same --cache-dir warm-hits.
@@ -160,6 +161,13 @@ struct ServiceCore {
   MetricsRegistry registry;
   ServiceMetrics metrics;
   std::optional<TraceLog> trace_log;  // set when config.trace_log_path
+  /// The resolver's memo (service/key_memo.hpp): the cache-hit path of a
+  /// repeat submission skips rebuilding the circuit, parsing its inline
+  /// text and copying the library — including jobs at custom supply
+  /// ladders.  Its inline texts are bounded by config.cache_bytes, apart
+  /// from the result cache's own budget.  Declared before the pool,
+  /// whose tasks resolve through it.
+  std::optional<KeyMemo> memo;
 
   std::optional<ThreadPool> pool;
   std::optional<ResultCache> cache;
@@ -202,11 +210,6 @@ struct ServiceCore {
     return metrics.inflight_jobs->value() <
            static_cast<double>(backlog_watermark);
   }
-
-  /// The resolver's memo (service/session.hpp): the cache-hit path of a
-  /// repeat submission skips rebuilding the circuit and copying the
-  /// library — including jobs at custom supply ladders.
-  KeyMemo memo;
 };
 
 class Service {

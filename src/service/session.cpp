@@ -108,11 +108,8 @@ bool expired_at_dequeue(ServiceCore& core, Clock::time_point queued,
 /// Runs the job's cells and assembles the response body object.
 std::string compute_body(const OptimizeRequest& request, ResolvedJob& job,
                          RequestTrace* trace) {
+  const Network& net = job.network(trace);
   const Library& lib = job.library();
-  const bool maps = job.unmapped.has_value();
-  const Clock::time_point map_start = Clock::now();
-  const Network& net = job.network();
-  if (trace && maps) trace->add("map", map_start, Clock::now(), /*depth=*/1);
   const PipelineJobResult result = run_pipeline_job(
       net, lib, request.options.to_flow_options(),
       job.circuit_seed, request.specs,
@@ -144,6 +141,24 @@ const McncDescriptor& named_circuit(const std::string& name) {
   if (descriptor == nullptr)
     throw ProtocolError("unknown MCNC circuit '" + name + "'");
   return *descriptor;
+}
+
+/// An inline netlist's text, read in its format against the effective
+/// library; `memo` (may be null) counts the parse.
+Network parse_inline(const CircuitSource& source, const Library& lib,
+                     KeyMemo* memo) {
+  if (memo) memo->count_parse();
+  return source.format == "verilog" ? read_verilog_string(source.netlist, lib)
+                                    : read_blif_string(source.netlist);
+}
+
+/// Keeps a parsed inline netlist for network(): one sent fully mapped is
+/// used as sent, any other is swept and mapped there.
+void adopt(ResolvedJob& job, Network submitted) {
+  if (fully_mapped(submitted) && submitted.num_gates() > 0)
+    job.mapped.emplace(std::move(submitted));
+  else
+    job.unmapped.emplace(std::move(submitted));
 }
 
 /// A pipeline reoptimize: the design's snapshot through the stateless job
@@ -179,13 +194,23 @@ const Library& ResolvedJob::library() {
   return *custom_lib;
 }
 
-const Network& ResolvedJob::network() {
+const Network& ResolvedJob::network(RequestTrace* trace) {
   if (mapped) return *mapped;
   if (descriptor)
     return mapped.emplace(build_mcnc_circuit(library(), *descriptor));
+  if (unparsed) {
+    // The memo supplied the key parts; this is the text's one parse.
+    const Clock::time_point start = Clock::now();
+    adopt(*this, parse_inline(*unparsed, library(), memo));
+    unparsed = nullptr;
+    if (trace) trace->add("parse_netlist", start, Clock::now(), /*depth=*/1);
+    if (mapped) return *mapped;
+  }
   DVS_EXPECTS(unmapped.has_value());
+  const Clock::time_point start = Clock::now();
   sweep_network(*unmapped);
   Network net = map_paper_setup(*unmapped, library()).mapped;
+  if (trace) trace->add("map", start, Clock::now(), /*depth=*/1);
   if (net.num_gates() == 0)
     throw ProtocolError("netlist has no gates to optimize");
   unmapped.reset();
@@ -234,20 +259,30 @@ ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
     job.key.mapping = parts.mapping;
     return job;
   }
-  const Library& effective = job.library();
   job.circuit_seed = source.options.seed;
-  Network submitted = source.format == "verilog"
-                          ? read_verilog_string(source.netlist, effective)
-                          : read_blif_string(source.netlist);
+  const bool verilog = source.format == "verilog";
+  if (memo) {
+    // A text the memo knows keeps its key parts there: the job keeps the
+    // request's text, and only network(), which a cache hit never calls,
+    // parses it.
+    if (const std::optional<CacheKey> parts =
+            memo->find_inline(source.netlist, verilog, job.key.library)) {
+      job.key.topology = parts->topology;
+      job.key.mapping = parts->mapping;
+      job.unparsed = &source;
+      job.memo = memo;
+      return job;
+    }
+  }
+  Network submitted = parse_inline(source, job.library(), memo);
   // Hash what the client sent; whether we must map it is derived state,
   // captured by the mapping fingerprint.  Mapping waits for network(),
   // which only a miss computed here calls.
   job.key.topology = topology_hash(submitted);
   job.key.mapping = mapping_fingerprint(submitted);
-  if (fully_mapped(submitted) && submitted.num_gates() > 0)
-    job.mapped.emplace(std::move(submitted));
-  else
-    job.unmapped.emplace(std::move(submitted));
+  if (memo)
+    memo->put_inline(source.netlist, verilog, job.key.library, job.key);
+  adopt(job, std::move(submitted));
   return job;
 }
 
@@ -367,7 +402,7 @@ OptimizeOutcome execute_job(ServiceCore& core, const OptimizeRequest& request,
 OptimizeOutcome execute_optimize(ServiceCore& core,
                                  const OptimizeRequest& request,
                                  RequestTrace* trace, bool allow_remote) {
-  ResolvedJob job = resolve_job(request, *core.lib, &core.memo);
+  ResolvedJob job = resolve_job(request, *core.lib, &*core.memo);
   return execute_job(core, request, job, trace, allow_remote);
 }
 
@@ -558,6 +593,13 @@ void Session::handle_stats(const Request& request) {
   jobs["completed"] = Json(m.jobs_completed->value());
   jobs["failed"] = Json(m.jobs_failed->value());
   fields["jobs"] = Json(std::move(jobs));
+  const KeyMemoStats memo = core_->memo->stats();
+  Json::Object resolver;
+  resolver["inline_parses"] = Json(memo.inline_parses);
+  resolver["memo_hits"] = Json(memo.hits);
+  resolver["memo_entries"] = Json(static_cast<std::uint64_t>(memo.entries));
+  resolver["memo_bytes"] = Json(static_cast<std::uint64_t>(memo.bytes));
+  fields["resolver"] = Json(std::move(resolver));
   if (core_->designs) {
     const DesignRegistryStats d = core_->designs->stats();
     Json::Object designs;

@@ -29,11 +29,11 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "library/library.hpp"
 #include "netlist/network.hpp"
 #include "service/cache.hpp"
+#include "service/key_memo.hpp"
 #include "service/protocol.hpp"
 #include "support/socket.hpp"
 #include "support/trace.hpp"
@@ -62,42 +62,22 @@ struct OptimizeOutcome {
 /// The wire spelling of an outcome's tier ("miss" / "hit" / "disk").
 const char* cache_tier_name(OptimizeOutcome::Tier tier);
 
-/// The resolver's memo: cache-key parts that are pure functions of a
-/// slot name (the effective library's fingerprint per supply ladder, a
-/// named circuit's hashes per effective library), so the cache-hit path
-/// neither copies the library nor builds the circuit.  Two racing misses
-/// compute and store the same value.
-class KeyMemo {
- public:
-  template <class Compute>
-  CacheKey get(const std::string& slot, const Compute& compute) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = parts_.find(slot);
-      if (it != parts_.end()) return it->second;
-    }
-    const CacheKey parts = compute();
-    std::lock_guard<std::mutex> lock(mutex_);
-    parts_.emplace(slot, parts);
-    return parts;
-  }
-
- private:
-  std::mutex mutex_;
-  std::unordered_map<std::string, CacheKey> parts_;
-};
-
 /// A request's circuit resolved into a job: the effective library
 /// (ladder-adjusted when the request pins a supply ladder), the circuit
 /// seed, the circuit and the cache key's library, topology and mapping
 /// parts (the options part depends on the verb).  The mapped network and
 /// the adjusted library copy are built on first use, which the
 /// cache-hit path and a miss the fleet answers never make: a named
-/// circuit is generated then, and an inline netlist, parsed and hashed
-/// by the resolver, is swept and mapped then (one sent fully mapped is
-/// used as sent).
+/// circuit is generated then, and an inline netlist is swept and mapped
+/// then (one sent fully mapped is used as sent).  The resolver parses an
+/// inline netlist to hash it, unless the memo knew its text; the job then
+/// keeps the request's text and parses it on first use.
 struct ResolvedJob {
   const McncDescriptor* descriptor = nullptr;  // named circuits only
+  /// An inline netlist the memo resolved without a parse: the request it
+  /// came in (which outlives the job), and the memo that counts its parse.
+  const CircuitSource* unparsed = nullptr;
+  KeyMemo* memo = nullptr;
   std::optional<Network> unmapped;  // an inline netlist, until network()
   std::optional<Network> mapped;
   /// The effective library is always *derived* (never a stored pointer
@@ -110,14 +90,17 @@ struct ResolvedJob {
 
   const Library& library();
   /// The mapped network, built on first use; throws the protocol's
-  /// no-gates error for an inline netlist that maps to no gates.
-  const Network& network();
+  /// no-gates error for an inline netlist that maps to no gates.  With a
+  /// non-null `trace`, an inline netlist's late parse and its mapping
+  /// appear as depth-1 `parse_netlist` and `map` spans.
+  const Network& network(RequestTrace* trace = nullptr);
 };
 
 /// The one resolver: an MCNC name or an inline BLIF/Verilog netlist, at
 /// `lib`'s ladder or the one the options pin, into a job.  Throws the
 /// protocol's unknown-circuit and parse errors.  `memo` (may be null)
-/// serves the key parts of repeat submissions.
+/// serves the key parts of repeat submissions; with it, `source` must
+/// outlive the job.
 ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
                         KeyMemo* memo);
 
@@ -129,8 +112,9 @@ ResolvedJob resolve_job(const CircuitSource& source, const Library& lib,
 /// the fleet cannot answer; the request must then name its circuit or
 /// carry its netlist.  Always records the cache-lookup histograms; with
 /// a non-null `trace`, appends the resolve / cache_lookup / execute /
-/// store phases plus depth-1 spans inside execute: `map` when an inline
-/// netlist is mapped there, and one per pass.
+/// store phases plus depth-1 spans inside execute: `parse_netlist` and
+/// `map` when an inline netlist is parsed and mapped there, and one per
+/// pass.
 OptimizeOutcome execute_job(ServiceCore& core, const OptimizeRequest& request,
                             ResolvedJob& job, RequestTrace* trace,
                             bool allow_remote);

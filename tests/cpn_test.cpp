@@ -28,7 +28,7 @@ class CpnTest : public ::testing::Test {
 
 TEST_F(CpnTest, TcbOfTightGridIsThePoDrivers) {
   Design design(grid(), lib_);
-  const CvsResult r = run_cvs(design);  // lowers nothing: zero slack
+  const CvsResult r = run_cvs_with_tcb(design);  // lowers nothing: zero slack
   ASSERT_EQ(r.num_lowered, 0);
   // Every PO driver is critical and blocked -> all in the TCB.
   std::vector<char> in_tcb(design.network().size(), 0);
@@ -39,7 +39,7 @@ TEST_F(CpnTest, TcbOfTightGridIsThePoDrivers) {
 
 TEST_F(CpnTest, CpnCoversTheMeshSpine) {
   Design design(grid(), lib_);
-  const CvsResult cvs = run_cvs(design);
+  const CvsResult cvs = run_cvs_with_tcb(design);
   const StaResult sta = design.run_timing();
   const CriticalPathNetwork cpn =
       extract_cpn(design.timing_context(), sta, cvs.tcb, 0.05);
@@ -53,7 +53,7 @@ TEST_F(CpnTest, CpnCoversTheMeshSpine) {
 
 TEST_F(CpnTest, CpnEdgesConnectMembers) {
   Design design(grid(), lib_);
-  const CvsResult cvs = run_cvs(design);
+  const CvsResult cvs = run_cvs_with_tcb(design);
   const StaResult sta = design.run_timing();
   const CriticalPathNetwork cpn =
       extract_cpn(design.timing_context(), sta, cvs.tcb, 0.05);
@@ -71,7 +71,7 @@ TEST_F(CpnTest, CpnEdgesConnectMembers) {
 
 TEST_F(CpnTest, WiderWindowGrowsTheNetwork) {
   Design design(grid(), lib_);
-  const CvsResult cvs = run_cvs(design);
+  const CvsResult cvs = run_cvs_with_tcb(design);
   const StaResult sta = design.run_timing();
   const auto narrow =
       extract_cpn(design.timing_context(), sta, cvs.tcb, 0.001);
@@ -82,7 +82,7 @@ TEST_F(CpnTest, WiderWindowGrowsTheNetwork) {
 
 TEST_F(CpnTest, SlackBranchesStayOutsideNarrowCpn) {
   Design design(grid(), lib_);
-  const CvsResult cvs = run_cvs(design);
+  const CvsResult cvs = run_cvs_with_tcb(design);
   const StaResult sta = design.run_timing();
   const auto cpn =
       extract_cpn(design.timing_context(), sta, cvs.tcb, 0.001);

@@ -4,9 +4,10 @@
 //     also after seeded random rung moves of that node, on fresh designs
 //     and on designs after Dscale (converters) and Gscale (resized
 //     cells), at 2, 3 and 4 rungs; after the sweep every field matches;
-//   - run_cvs against the eager loop it replaced (tests/reference.hpp):
-//     equal levels, lowering counts and TCBs on all 39 circuits x 3
-//     ladders x {fresh, after Dscale}.
+//   - run_cvs_with_tcb against the eager loop it replaced
+//     (tests/reference.hpp): equal levels, lowering counts and TCBs on
+//     all 39 circuits x 3 ladders x {fresh, after Dscale}; run_cvs makes
+//     the same decisions and leaves the TCB empty.
 // The required-time work count pins the sweep's cost: one evaluation per
 // live node plus one per lowering.
 #include <gtest/gtest.h>
@@ -122,17 +123,25 @@ TEST(CvsSweep, MatchesTheEagerLoopOnEveryCircuitAndLadder) {
         const Design base = start_design(lib, circuit, start);
         Design swept = base;
         Design eager = base;
-        const CvsResult got = run_cvs(swept);
+        Design bare = base;
+        const CvsResult got = run_cvs_with_tcb(swept);
         const CvsResult want = run_cvs_reference(eager);
+        const CvsResult without_tcb = run_cvs(bare);
         const std::string what =
             std::string(circuit.name) + " at " +
             std::to_string(supplies.size()) + " rungs" +
             (start == Start::kFresh ? "" : " after Dscale");
         EXPECT_EQ(got.num_lowered, want.num_lowered) << what;
         EXPECT_EQ(got.tcb, want.tcb) << what;
+        EXPECT_EQ(without_tcb.num_lowered, got.num_lowered) << what;
+        EXPECT_EQ(without_tcb.required_evaluations, got.required_evaluations)
+            << what;
+        EXPECT_TRUE(without_tcb.tcb.empty()) << what;
         bool same_levels = true;
         swept.network().for_each_gate([&](const Node& g) {
-          if (swept.level(g.id) != eager.level(g.id)) same_levels = false;
+          if (swept.level(g.id) != eager.level(g.id) ||
+              swept.level(g.id) != bare.level(g.id))
+            same_levels = false;
         });
         EXPECT_TRUE(same_levels) << what;
         if (start == Start::kFresh) {

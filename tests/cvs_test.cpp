@@ -22,7 +22,7 @@ TEST_F(CvsTest, ZeroSlackCircuitLowersNothing) {
   spec.slack_branch_fraction = 0.0;
   Network net = build_balanced_grid(lib_, spec, "tight");
   Design design(std::move(net), lib_);  // tspec == own delay
-  const CvsResult r = run_cvs(design);
+  const CvsResult r = run_cvs_with_tcb(design);
   EXPECT_EQ(r.num_lowered, 0);
   EXPECT_EQ(design.count_low(), 0);
   EXPECT_FALSE(r.tcb.empty());
@@ -74,7 +74,7 @@ TEST_F(CvsTest, PowerNeverIncreases) {
 TEST_F(CvsTest, TcbSitsNextToTheLowCluster) {
   Network net = build_ripple_adder(lib_, 16, "add16");
   Design design(std::move(net), lib_);
-  const CvsResult r = run_cvs(design);
+  const CvsResult r = run_cvs_with_tcb(design);
   for (NodeId t : r.tcb) {
     EXPECT_EQ(design.level(t), kTopRung);
     bool adjacent = false;

@@ -198,6 +198,18 @@ bool print_response(const std::string& line) {
       else
         std::printf("disk:  (no cache dir)\n");
     }
+    if (const dvs::Json* resolver = get(json, "resolver"))
+      std::printf("resolver: %llu inline parses / %llu memo hits | "
+                  "%llu texts, %.1f MiB\n",
+                  static_cast<unsigned long long>(
+                      resolver->find("inline_parses")->as_uint()),
+                  static_cast<unsigned long long>(
+                      resolver->find("memo_hits")->as_uint()),
+                  static_cast<unsigned long long>(
+                      resolver->find("memo_entries")->as_uint()),
+                  static_cast<double>(
+                      resolver->find("memo_bytes")->as_uint()) /
+                      (1 << 20));
     if (const dvs::Json* pool = get(json, "pool")) {
       std::printf("pool:  %lld threads, %lld queued+running "
                   "(peak %lld, watermark %llu) | %llu tasks | "
