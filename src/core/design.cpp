@@ -9,7 +9,6 @@ Design::Design(Network net, const Library& lib, double tspec)
     : net_(std::move(net)), lib_(&lib) {
   const int n = net_.size();
   levels_.assign(n, kTopRung);
-  node_vdd_.assign(n, lib.vdd_high());
   lc_flags_.assign(n, 0);
   original_cells_.assign(n, -1);
   net_.for_each_gate([&](const Node& g) {
@@ -33,7 +32,6 @@ void Design::set_level(NodeId id, SupplyId level) {
   DVS_EXPECTS(net_.is_valid(id) && net_.node(id).is_gate());
   DVS_EXPECTS(level < supplies().depth());
   levels_[id] = level;
-  node_vdd_[id] = supplies().voltage(level);
   // The boundary can change at this node and at each gate fanin.
   refresh_boundary_around(*this, id);
 }
@@ -42,14 +40,6 @@ int Design::count_low() const {
   int count = 0;
   net_.for_each_gate([&](const Node& g) {
     if (levels_[g.id] != kTopRung) ++count;
-  });
-  return count;
-}
-
-int Design::count_at(SupplyId level) const {
-  int count = 0;
-  net_.for_each_gate([&](const Node& g) {
-    if (levels_[g.id] == level) ++count;
   });
   return count;
 }
@@ -68,16 +58,13 @@ int Design::count_lcs() const {
   return count;
 }
 
-void Design::refresh_boundary() { recompute_boundary(*this); }
-
 void Design::sync_with_network() {
   const int n = net_.size();
   levels_.resize(n, kTopRung);
-  node_vdd_.resize(n, lib_->vdd_high());
   lc_flags_.resize(n, 0);
   original_cells_.resize(n, -1);
   activity_valid_ = false;
-  refresh_boundary();
+  recompute_boundary(*this);
 }
 
 int Design::original_cell(NodeId id) const {
@@ -104,9 +91,7 @@ TimingContext Design::timing_context() const {
   TimingContext ctx;
   ctx.net = &net_;
   ctx.lib = lib_;
-  ctx.node_vdd = node_vdd_;
   ctx.node_level = levels_;
-  ctx.lc_on_output = lc_flags_;
   ctx.graph = &timing_graph();
   ctx.graph_owner = graph_.graph;
   return ctx;
@@ -140,12 +125,10 @@ PowerContext Design::power_context() const {
   PowerContext ctx;
   ctx.net = &net_;
   ctx.lib = lib_;
-  ctx.node_vdd = node_vdd_;
-  ctx.lc_on_output = lc_flags_;
+  ctx.node_level = levels_;
   ctx.alpha01 = activity().alpha01;
   ctx.freq_mhz = freq_mhz_;
   ctx.graph = &timing_graph();
-  ctx.node_level = levels_;
   ctx.original_cells = original_cells_;
   return ctx;
 }

@@ -3,10 +3,10 @@
 // the timing constraint, and the derived level-converter bookkeeping, and
 // offers timing / power / area evaluation of the *current* state.
 //
-// Level converters are kept virtual (per-node flags consumed by the STA
-// and the power model) so algorithms can retarget voltages freely;
-// `materialize_level_converters` (boundary.hpp) instantiates them as real
-// gates for export.
+// Level converters are kept virtual (the STA and the power model place
+// one wherever a gate drives a gate on a shallower rung) so algorithms
+// can retarget voltages freely; `materialize_level_converters`
+// (boundary.hpp) instantiates them as real gates for export.
 #pragma once
 
 #include <memory>
@@ -46,25 +46,17 @@ class Design {
   /// Gates below the top rung (the paper's "low" column; for a dual
   /// ladder exactly the vdd_low gates).
   int count_low() const;
-  /// Gates at one specific rung / at every rung (index = SupplyId).
-  int count_at(SupplyId level) const;
+  /// Gates at every rung (index = SupplyId).
   std::vector<int> count_per_level() const;
 
-  /// Per-node supply voltage vector consumed by STA/power (non-gates run
-  /// at vdd_high by convention; their entries are never used in arcs).
-  const std::vector<double>& node_vdd() const { return node_vdd_; }
-  /// Level-converter-on-output flags (derived from the assignment).
-  const std::vector<char>& lc_flags() const { return lc_flags_; }
-
-  /// True iff this node currently needs a level converter on its output.
+  /// True iff this node currently needs a level converter on its output
+  /// (a cached lc_needed, boundary.hpp).
   bool needs_lc(NodeId id) const { return lc_flags_[id] != 0; }
   int count_lcs() const;
 
-  /// Recomputes all LC flags from scratch (after bulk edits).
-  void refresh_boundary();
-
   /// Called after structural network edits (node insertion, sizing does
-  /// not require it) to resize the per-node vectors.
+  /// not require it) to resize the per-node vectors and recompute every
+  /// converter flag.
   void sync_with_network();
 
   // ---- sizing ------------------------------------------------------------
@@ -76,7 +68,7 @@ class Design {
   // ---- evaluation ---------------------------------------------------------
   /// Compiled flat timing graph of the current network, recompiled
   /// automatically when the network's structural version moves (point
-  /// changes — supplies, cells, LC flags — patch in place instead).  The
+  /// changes — rungs, cells — patch in place instead).  The
   /// reference stays valid until the next structural edit or relocation
   /// of this Design; contexts from timing_context() share ownership and
   /// outlive recompiles.  Like the graph's sync methods, the lazy
@@ -122,8 +114,7 @@ class Design {
   double tspec_ = 0.0;
   double freq_mhz_ = 20.0;
   std::vector<SupplyId> levels_;
-  std::vector<double> node_vdd_;
-  std::vector<char> lc_flags_;
+  std::vector<char> lc_flags_;  // cache of lc_needed per node
   std::vector<int> original_cells_;
   double original_area_ = 0.0;
   /// Cache slot for the compiled graph: copies and moves of the Design

@@ -203,6 +203,35 @@ struct Candidate {
   SupplyId to;    // deepest feasible rung
 };
 
+/// Moves the selected gates to their target rungs, then verifies the
+/// constraint and reverts the cheapest members if the conservative
+/// per-candidate model missed a second-order interaction (e.g. a fanin's
+/// converter losing load).  The incremental timer makes each
+/// commit/revert O(affected) instead of a full re-analysis.
+int commit_with_repair(Design& design, IncrementalSta& timer,
+                       std::vector<Candidate> selected) {
+  if (selected.empty()) return 0;
+  for (const Candidate& c : selected) {
+    design.set_level(c.id, c.to);
+    timer.on_node_changed(c.id);
+  }
+  std::sort(selected.begin(), selected.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.gain < b.gain;
+            });
+  std::size_t reverted = 0;
+  while (!timer.result().meets_constraint(1e-9) &&
+         reverted < selected.size()) {
+    design.set_level(selected[reverted].id, selected[reverted].from);
+    timer.on_node_changed(selected[reverted].id);
+    ++reverted;
+  }
+  DVS_ASSERT(timer.result().meets_constraint(1e-6));
+  return static_cast<int>(selected.size() - reverted);
+}
+
+}  // namespace
+
 /// Raises boundary drivers to the shallowest rung that clears their
 /// converter while doing so reduces total power.  Raising a gate speeds
 /// it up, but a converter can migrate onto a still-deep fanin, so timing
@@ -210,7 +239,7 @@ struct Candidate {
 /// neighborhood); the fixpoint loop then reconsiders the migrated
 /// boundary.  Each trial is scored on an evaluation ledger, whose total
 /// equals a full run_power's bit for bit.
-int trim_unprofitable_boundary(Design& design, IncrementalSta& timer) {
+int trim_boundary(Design& design, IncrementalSta& timer) {
   const Network& net = design.network();
   EvalLedger ledger(design.power_context());
   const auto move = [&](NodeId id, SupplyId level) {
@@ -249,39 +278,6 @@ int trim_unprofitable_boundary(Design& design, IncrementalSta& timer) {
     }
   }
   return raised_total;
-}
-
-/// Moves the selected gates to their target rungs, then verifies the
-/// constraint and reverts the cheapest members if the conservative
-/// per-candidate model missed a second-order interaction (e.g. a fanin's
-/// converter losing load).  The incremental timer makes each
-/// commit/revert O(affected) instead of a full re-analysis.
-int commit_with_repair(Design& design, IncrementalSta& timer,
-                       std::vector<Candidate> selected) {
-  if (selected.empty()) return 0;
-  for (const Candidate& c : selected) {
-    design.set_level(c.id, c.to);
-    timer.on_node_changed(c.id);
-  }
-  std::sort(selected.begin(), selected.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.gain < b.gain;
-            });
-  std::size_t reverted = 0;
-  while (!timer.result().meets_constraint(1e-9) &&
-         reverted < selected.size()) {
-    design.set_level(selected[reverted].id, selected[reverted].from);
-    timer.on_node_changed(selected[reverted].id);
-    ++reverted;
-  }
-  DVS_ASSERT(timer.result().meets_constraint(1e-6));
-  return static_cast<int>(selected.size() - reverted);
-}
-
-}  // namespace
-
-int trim_boundary(Design& design, IncrementalSta& timer) {
-  return trim_unprofitable_boundary(design, timer);
 }
 
 DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
@@ -394,7 +390,7 @@ DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
     if (committed == 0) break;  // nothing stuck: avoid spinning
   }
   if (options.trim_unprofitable)
-    result.mwis_lowered -= trim_unprofitable_boundary(design, timer);
+    result.mwis_lowered -= trim_boundary(design, timer);
   return result;
 }
 

@@ -52,8 +52,8 @@ struct DscaleResult {
 
 DscaleResult run_dscale(Design& design, const DscaleOptions& options = {});
 
-/// Dscale's final cleanup as a standalone primitive (the registry's
-/// `trim` pass): raises low->high boundary drivers back to vdd_high
+/// Dscale's final cleanup, also the registry's `trim` pass: raises each
+/// converter-carrying gate to the shallowest rung among its gate fanouts
 /// while doing so reduces total power, re-verifying timing per raise
 /// through `timer`.  Returns the number of gates raised.
 int trim_boundary(Design& design, IncrementalSta& timer);

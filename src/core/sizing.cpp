@@ -16,8 +16,8 @@ ResizeOption evaluate_upsize(const Design& design, const StaResult& sta,
 
   const Cell& now = lib.cell(gate.cell);
   const Cell& next = lib.cell(bigger);
-  const double vdd = design.node_vdd()[id];
-  const double vf = lib.voltage_model().delay_factor(vdd);
+  const double vf = lib.voltage_model().delay_factor(
+      design.supplies().voltage(design.level(id)));
   const double load = sta.load[id];
 
   double worst_now = 0.0;

@@ -38,23 +38,10 @@ double SupplyLadder::voltage(SupplyId rung) const {
   return voltages_[rung];
 }
 
-int SupplyLadder::rung_of(double vdd) const {
-  for (std::size_t r = 0; r < voltages_.size(); ++r)
-    if (voltages_[r] == vdd) return static_cast<int>(r);
-  return -1;
-}
-
 std::vector<double> SupplyLadder::delay_factors(const VoltageModel& vm) const {
   std::vector<double> factors;
   factors.reserve(voltages_.size());
   for (double v : voltages_) factors.push_back(vm.delay_factor(v));
-  return factors;
-}
-
-std::vector<double> SupplyLadder::energy_factors(const VoltageModel& vm) const {
-  std::vector<double> factors;
-  factors.reserve(voltages_.size());
-  for (double v : voltages_) factors.push_back(vm.energy_factor(v));
   return factors;
 }
 

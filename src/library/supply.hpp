@@ -60,10 +60,6 @@ class SupplyLadder {
   double bottom() const { return voltages_.back(); }
   const std::vector<double>& voltages() const { return voltages_; }
 
-  /// Rung whose voltage equals `vdd` exactly (the per-node supply vectors
-  /// are assigned from voltage(), so exact comparison is sound), or -1.
-  int rung_of(double vdd) const;
-
   /// Converter policy: a driver at `driver` feeding a sink at `sink`
   /// needs level restoration iff the sink sits on a strictly shallower
   /// (higher voltage) rung.
@@ -72,12 +68,10 @@ class SupplyLadder {
   }
 
   /// Per-rung delay factors under `vm` (vm.delay_factor at each rung's
-  /// voltage), indexable by SupplyId.  Hot loops hoist this once per
-  /// sweep instead of re-evaluating the alpha-power model per gate.
+  /// voltage), indexable by SupplyId.  The timing kernel and the hot
+  /// loops hoist this once per analysis or sweep instead of re-evaluating
+  /// the alpha-power model per gate.
   std::vector<double> delay_factors(const VoltageModel& vm) const;
-
-  /// Per-rung dynamic-energy factors: (voltage / vm.vdd_nominal)^2.
-  std::vector<double> energy_factors(const VoltageModel& vm) const;
 
   /// Canonical comma-separated spelling ("5,4.3,3.6": shortest double
   /// spelling that round-trips, no spaces) — parse(spec()) is a fixpoint.

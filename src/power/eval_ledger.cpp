@@ -9,15 +9,9 @@ namespace dvs {
 EvalLedger::EvalLedger(const PowerContext& ctx) : ctx_(ctx) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const std::size_t n = static_cast<std::size_t>(ctx.net->size());
-  DVS_EXPECTS(ctx.node_vdd.size() >= n && ctx.alpha01.size() >= n);
-  DVS_EXPECTS(ctx.lc_on_output.size() >= n);
-  DVS_EXPECTS(ctx.node_level.size() >= n && ctx.original_cells.size() >= n);
-  TimingContext tctx;
-  tctx.net = ctx.net;
-  tctx.lib = ctx.lib;
-  tctx.node_vdd = ctx.node_vdd;
-  tctx.lc_on_output = ctx.lc_on_output;
-  tctx.graph = ctx.graph;
+  DVS_EXPECTS(ctx.node_level.size() >= n && ctx.alpha01.size() >= n);
+  DVS_EXPECTS(ctx.original_cells.size() >= n);
+  const TimingContext tctx = ctx.timing();
   graph_ = &timing_detail::current_graph(tctx, own_graph_);
   rules_ = std::make_unique<timing_detail::NodeRules>(tctx, *graph_);
   const Library& lib = *ctx.lib;
@@ -54,11 +48,10 @@ void EvalLedger::compute(NodeId id) {
   if (!node.is_gate()) return;
 
   cell_area_[id] = node.cell >= 0 ? ctx_.lib->cell(node.cell).area : 0.0;
-  const bool has_lc = ctx_.lc_on_output[id] != 0;
   const int original = ctx_.original_cells[id];
   const std::uint8_t now =
       (ctx_.node_level[id] != kTopRung ? kLow : 0) |
-      (has_lc ? kLevelConverter : 0) |
+      (load.lc_pins > 0 ? kLevelConverter : 0) |
       (original >= 0 && node.cell != original ? kResized : 0);
   const std::uint8_t before = flags_[id];
   const auto delta = [&](Flag f) {

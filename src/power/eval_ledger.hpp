@@ -1,9 +1,9 @@
 // The evaluation ledger: a design's power, area and low / level-converter
 // / resized gate counts, kept current across point changes (a gate's
-// supply, cell or converter flag) beside an IncrementalSta.
+// rung or cell) beside an IncrementalSta.
 //
 // The power model is a sum of per-node terms, and a node's terms read
-// only its own supply, activity, cell and load split.  A point change at
+// only its own rung, activity, cell and load split.  A point change at
 // a gate moves the load split of that gate and of its fanins and nothing
 // else — the nodes whose loads the timer recomputes — so an update
 // recomputes exactly those nodes' terms with the per-node rule
@@ -11,7 +11,9 @@
 // is an ordered sum over the ledger's per-node arrays, in the order
 // compute_power and Design::total_area add, so they equal the full
 // computations bit for bit (DESIGN.md, "The evaluation ledger").  The
-// gate counts are integers, kept as stored per-node flags plus counters.
+// gate counts are integers, kept as stored per-node flags plus counters;
+// a gate carries a converter wherever its load split routes a pin
+// through one, which is where Design flags one.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +40,7 @@ class EvalLedger {
   explicit EvalLedger(const PowerContext& ctx);
   ~EvalLedger();
 
-  /// The node's supply, cell or converter flag changed (after the fact):
+  /// The node's rung or cell changed (after the fact):
   /// recomputes the terms and flags of `id` and of each of its fanins.
   /// Allocates nothing.
   void on_node_changed(NodeId id);

@@ -1,8 +1,10 @@
 #include "power/power_model.hpp"
 
+#include <memory>
+
 #include "support/contracts.hpp"
 #include "support/units.hpp"
-#include "timing/loads.hpp"
+#include "timing/kernel.hpp"
 
 namespace dvs {
 
@@ -16,7 +18,7 @@ NodePower node_power(const PowerContext& ctx, const Node& node,
   if (node.is_input()) return t;
   const Library& lib = *ctx.lib;
   const double a = ctx.alpha01[node.id];
-  const double vdd = ctx.node_vdd[node.id];
+  const double vdd = lib.supplies().voltages()[ctx.node_level[node.id]];
   const double v2 = vdd * vdd;
   t.switching =
       a * ctx.freq_mhz * direct_load * v2 * kSwitchPowerToMicrowatt;
@@ -44,16 +46,11 @@ PowerBreakdown compute_power(const PowerContext& ctx) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const Network& net = *ctx.net;
   const int n = net.size();
-  DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
   DVS_EXPECTS(static_cast<int>(ctx.alpha01.size()) >= n);
-
-  TimingContext tctx;
-  tctx.net = ctx.net;
-  tctx.lib = ctx.lib;
-  tctx.node_vdd = ctx.node_vdd;
-  tctx.lc_on_output = ctx.lc_on_output;
-  tctx.graph = ctx.graph;
-  const NodeLoads loads = compute_loads(tctx);
+  const TimingContext tctx = ctx.timing();
+  std::unique_ptr<const TimingGraph> own;
+  const timing_detail::NodeRules rules(
+      tctx, timing_detail::current_graph(tctx, own));
 
   // Absent terms are +0.0, and adding +0.0 leaves a non-negative sum's
   // bits alone, so charging every node matches skipping the uncharged.
@@ -61,8 +58,9 @@ PowerBreakdown compute_power(const PowerContext& ctx) {
   p.node_power.assign(n, 0.0);
   net.for_each_node([&](const Node& node) {
     const NodeId id = node.id;
-    const NodePower t = node_power(ctx, node, loads.direct[id], loads.lc[id],
-                                   loads.lc_fanout_pins[id]);
+    const timing_detail::LoadSplit load = rules.load(id);
+    const NodePower t =
+        node_power(ctx, node, load.direct, load.lc, load.lc_pins);
     p.switching += t.switching;
     p.internal += t.internal;
     p.converter += t.converter;
@@ -74,11 +72,11 @@ PowerBreakdown compute_power(const PowerContext& ctx) {
 
 PowerBreakdown compute_power(const Network& net, const Library& lib,
                              const Activity& activity, double freq_mhz) {
-  std::vector<double> vdd(net.size(), lib.vdd_high());
+  const std::vector<SupplyId> level(net.size(), kTopRung);
   PowerContext ctx;
   ctx.net = &net;
   ctx.lib = &lib;
-  ctx.node_vdd = vdd;
+  ctx.node_level = level;
   ctx.alpha01 = activity.alpha01;
   ctx.freq_mhz = freq_mhz;
   return compute_power(ctx);

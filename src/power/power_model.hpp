@@ -11,26 +11,34 @@
 #include "library/library.hpp"
 #include "netlist/network.hpp"
 #include "power/activity.hpp"
+#include "timing/sta.hpp"
 
 namespace dvs {
-
-class TimingGraph;
 
 struct PowerContext {
   const Network* net = nullptr;
   const Library* lib = nullptr;
-  std::span<const double> node_vdd;
-  std::span<const char> lc_on_output;
+  /// Supply-ladder rung per node id: a node switches at its rung's
+  /// voltage, and the timing kernel's load rule routes its converter.
+  std::span<const SupplyId> node_level;
   std::span<const double> alpha01;  // per node, from activity estimation
   double freq_mhz = 20.0;           // the paper's 20 MHz random simulation
-  /// Optional compiled graph for the load computation's flat fast path.
+  /// Optional compiled graph for the load rule's flat walk.
   const TimingGraph* graph = nullptr;
-  /// Read only by EvalLedger's gate counts (compute_power ignores them):
-  /// the rung per node — a gate below the top rung is low — and the cell
-  /// each gate started with (-1 = none) — a gate on another cell is
-  /// resized.
-  std::span<const SupplyId> node_level;
+  /// Read only by EvalLedger's resized count (compute_power ignores it):
+  /// the cell each gate started with (-1 = none); a gate on another cell
+  /// is resized.
   std::span<const int> original_cells;
+
+  /// The timing kernel's view of the same network, rungs and graph.
+  TimingContext timing() const {
+    TimingContext ctx;
+    ctx.net = net;
+    ctx.lib = lib;
+    ctx.node_level = node_level;
+    ctx.graph = graph;
+    return ctx;
+  }
 };
 
 /// One node's share of each power category (uW).
@@ -56,7 +64,7 @@ struct PowerBreakdown {
 };
 
 /// The per-node power rule, which compute_power and EvalLedger both
-/// call: the node's output net switching at its own supply into
+/// call: the node's output net switching at its rung's voltage into
 /// `direct_load`, a mapped gate's internal node and leakage, and — when
 /// `lc_pins` fanout pins run through its level converter — the
 /// converter's switching at Vdd_high into `lc_load` plus its leakage.
@@ -67,7 +75,7 @@ NodePower node_power(const PowerContext& ctx, const Node& node,
 
 PowerBreakdown compute_power(const PowerContext& ctx);
 
-/// Uniform single-supply convenience (all nodes at vdd_high, no LCs).
+/// Uniform single-supply convenience (all nodes on the top rung, no LCs).
 PowerBreakdown compute_power(const Network& net, const Library& lib,
                              const Activity& activity,
                              double freq_mhz = 20.0);

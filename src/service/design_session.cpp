@@ -85,7 +85,7 @@ std::size_t estimate_bytes(const DesignRegistry::Handle& handle) {
              (n.fanins.size() + n.fanouts.size()) * sizeof(NodeId);
   });
   bytes += static_cast<std::size_t>(net.size()) *
-           (sizeof(SupplyId) + sizeof(double) + sizeof(char) + sizeof(int));
+           (sizeof(SupplyId) + sizeof(char) + sizeof(int));
   if (handle.ista)
     bytes += static_cast<std::size_t>(net.size()) *
              (3 * sizeof(RiseFall) + 3 * sizeof(double));

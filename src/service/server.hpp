@@ -153,8 +153,12 @@ struct ServiceCore {
   /// handles (request/job/session counters the service increments
   /// directly); everything with an external authority is mirrored into
   /// `registry` by the collector that init_metrics registers.  The
-  /// `stats` reply, the `metrics` reply, and the scrape endpoint all
-  /// read through the same registry, so they can never disagree.
+  /// `metrics` reply and the scrape endpoint read the registry.  The
+  /// `stats` reply (Session::handle_stats) reads the native handles and
+  /// the ResultCache, DiskCacheEngine, ThreadPool, KeyMemo and
+  /// DesignRegistry stats directly, so it agrees with the exposition only
+  /// where a collector mirrors the same source (CI's Service smoke step
+  /// compares four such counters).
   /// Declared BEFORE the pool: members destroy in reverse order, and
   /// pool tasks touch these instruments until the pool's destructor has
   /// joined its workers.

@@ -11,8 +11,10 @@
 //   * mirrored instruments — subsystems that keep their own authoritative
 //     counters (ResultCache, DiskCacheEngine, ThreadPool) are copied into
 //     registry instruments by a registered collector callback that runs just
-//     before every exposition/read, so `stats` and `metrics` can never
-//     disagree about a value.
+//     before every exposition/read, so an exposition shows each source as of
+//     that read.  dvsd's `stats` reply reads those sources directly, not this
+//     registry: it matches `metrics` only where a collector mirrors the same
+//     source.
 //
 // Instrument handles are stable for the registry's lifetime: families live in
 // a std::map per shard and instruments are heap-allocated, so neither insert

@@ -11,6 +11,7 @@
 //   P[uW] = a01 * f[MHz] * C[fF] * V[V]^2 * 1e-3
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace dvs {
@@ -23,5 +24,11 @@ std::string format_fixed(double v, int prec);
 
 /// Formats a ratio `x` as a percentage with two decimals, e.g. "19.12".
 std::string format_percent(double x);
+
+/// Parses a byte count "N", "NK", "NM" or "NG" (suffix case-insensitive,
+/// powers of 1024; N as strtoull reads it in base 0) into `*out`.
+/// Returns false, leaving `*out` alone, on a missing number, a sign,
+/// trailing garbage, or a count that does not fit in a size_t.
+bool parse_bytes(const char* text, std::size_t* out);
 
 }  // namespace dvs

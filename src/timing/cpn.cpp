@@ -14,7 +14,8 @@ CriticalPathNetwork extract_cpn(const TimingContext& ctx,
                                 double window) {
   const Network& net = *ctx.net;
   std::unique_ptr<const TimingGraph> own;
-  timing_detail::NodeRules rules(ctx, timing_detail::current_graph(ctx, own));
+  const timing_detail::NodeRules rules(ctx,
+                                       timing_detail::current_graph(ctx, own));
   const TimingGraph& g = rules.graph();
   CriticalPathNetwork cpn;
   std::vector<char> member(net.size(), 0);
@@ -37,7 +38,7 @@ CriticalPathNetwork extract_cpn(const TimingContext& ctx,
     if (!v.is_gate() || v.cell < 0) continue;
     const std::span<const NodeId> fi = g.fanins(vid);
     const std::span<const TimingArc> arcs = g.arcs(vid);
-    const double vf = rules.factor(ctx.node_vdd[vid]);
+    const double vf = rules.factor(vid);
     const double target = sta.arrival[vid].max();
     for (std::size_t pin = 0; pin < fi.size(); ++pin) {
       const NodeId uid = fi[pin];

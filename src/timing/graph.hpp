@@ -20,8 +20,8 @@
 // cell resize is absorbed by `sync_node` (or the O(n) compare-only
 // `sync_cells` sweep that every full analysis runs first), which refreshes
 // the node's arcs and its pin caps on every driver's entry list.  Supply
-// voltages and level-converter flags are never snapshotted — the hot loops
-// read them live from the TimingContext spans, which are already flat.
+// rungs are never snapshotted — the hot loops read them live from the
+// TimingContext's rung span, which is already flat.
 //
 // The sync methods mutate only the mapping snapshot (cells / arcs / caps)
 // and are safe to call through a const reference; a TimingGraph must not

@@ -80,11 +80,10 @@ void IncrementalSta::recompute_load(const timing_detail::NodeRules& rules,
   result_.lc_load[id] = split.lc;
 }
 
-bool IncrementalSta::recompute_arrival(timing_detail::NodeRules& rules,
-                                       NodeId id) {
+bool IncrementalSta::recompute_arrival(
+    const timing_detail::NodeRules& rules, NodeId id) {
   const RiseFall arr = rules.arrival(id, result_);
-  const RiseFall lc_arr =
-      rules.lc_arrival(rules.has_lc(id), arr, result_.lc_load[id]);
+  const RiseFall lc_arr = rules.lc_arrival(arr, result_.lc_load[id]);
 
   const bool changed = differs(arr, result_.arrival[id]) ||
                        differs(lc_arr, result_.lc_arrival[id]);
@@ -105,8 +104,8 @@ bool IncrementalSta::recompute_arrival(timing_detail::NodeRules& rules,
   return changed;
 }
 
-bool IncrementalSta::recompute_required(timing_detail::NodeRules& rules,
-                                        NodeId id) {
+bool IncrementalSta::recompute_required(
+    const timing_detail::NodeRules& rules, NodeId id) {
   ++required_evals_;
   const RiseFall req = rules.required(id, result_);
   const bool changed = differs(req, result_.required[id]);
@@ -155,7 +154,7 @@ void IncrementalSta::on_node_changed(NodeId id) {
   auto seed_required = [&](NodeId v) { push(std::less<int>(), v); };
 
   // Loads that can move: the node's own (LC split, port/pin mix) and its
-  // fanins' (the node's pin caps change with its cell; its supply decides
+  // fanins' (the node's pin caps change with its cell; its rung decides
   // which fanin arcs run through a converter).
   recompute_load(rules, id);
   seed_forward(id);

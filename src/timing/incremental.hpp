@@ -1,11 +1,11 @@
 // Event-driven incremental timing: keeps a StaResult up to date across
-// point changes (a gate's supply, cell size, or level-converter flag)
-// without re-analyzing the whole network.  CVS commits hundreds of
+// point changes (a gate's rung or cell size) without re-analyzing the
+// whole network.  CVS commits hundreds of
 // single-gate changes per run, each followed by a timing query; the
 // incremental engine turns that from O(n) per commit into O(affected).
 //
 // The engine reads the live TimingContext spans on every update, so the
-// caller mutates its vdd / cell / lc state first and then calls
+// caller mutates its rung / cell state first and then calls
 // `on_node_changed(id)`.
 //
 // A caller that decides node by node in reverse topological order (CVS)
@@ -50,7 +50,7 @@ class IncrementalSta {
   /// `worst_arrival`, are defined.
   const StaResult& result() const { return result_; }
 
-  /// The node's supply, cell, or LC flag changed (after the fact).
+  /// The node's rung or cell changed (after the fact).
   /// Recomputes the affected loads, then propagates arrival changes
   /// forward and required-time changes backward along the worklists.
   /// Inside a sweep only the visited node may change: the update re-times
@@ -91,9 +91,9 @@ class IncrementalSta {
   /// Returns true when the stored value moved by more than kEps.  Keeps
   /// `worst_arrival` as a running max over port drivers, marking it
   /// stale when the driver that held it got faster.
-  bool recompute_arrival(timing_detail::NodeRules& rules, NodeId id);
+  bool recompute_arrival(const timing_detail::NodeRules& rules, NodeId id);
   /// Recomputes required time of one node from its fanouts (pull).
-  bool recompute_required(timing_detail::NodeRules& rules, NodeId id);
+  bool recompute_required(const timing_detail::NodeRules& rules, NodeId id);
   /// Recomputes the direct/LC load of one node.
   void recompute_load(const timing_detail::NodeRules& rules, NodeId id);
   void refresh_worst_arrival();

@@ -1,14 +1,19 @@
 // The timing kernel: the per-node rules every timing analysis applies.
-// The full walk (run_sta), the event-driven IncrementalSta, the load pass
-// (compute_loads), the CPN extractor, Gscale's revert search and
-// Dscale's lowering model all call these rules; they differ only in which
-// nodes they visit, in what order, and where they keep the per-node
-// state.  Each rule reads nothing but its operands, so two analyses that
-// visit a node with the same operands get the same doubles.  Internal
-// header (not part of the public API surface).
+// The full walk (run_sta), the event-driven IncrementalSta, the power
+// model (compute_power, EvalLedger), the CPN extractor, Gscale's revert
+// search and Dscale's lowering model all call these rules; they differ
+// only in which nodes they visit, in what order, and where they keep the
+// per-node state.  A node's supply is its ladder rung, read from the
+// context's `node_level`; its delay factor is the rung's entry of
+// SupplyLadder::delay_factors, and a fanout pin runs through its driver's
+// level converter by the ladder's one rule (SupplyLadder::
+// converter_needed).  Each rule reads nothing but its operands, so two
+// analyses that visit a node with the same operands get the same doubles.
+// Internal header (not part of the public API surface).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -16,7 +21,6 @@
 
 #include "library/cell.hpp"
 #include "library/supply.hpp"
-#include "library/voltage_model.hpp"
 #include "netlist/network.hpp"
 #include "support/contracts.hpp"
 #include "timing/graph.hpp"
@@ -26,47 +30,7 @@ namespace dvs::timing_detail {
 
 // ---- arc primitives ------------------------------------------------------
 
-/// Per-rung memo for VoltageModel::delay_factor.  The model evaluates two
-/// non-integer powers per call and the sweeps call it once per gate per
-/// direction, yet a design only ever carries the supply ladder's handful
-/// of distinct voltages — so nearly every call is a repeat.  Constructed
-/// from a ladder, the table is pre-seeded with one slot per rung; keyed
-/// on the exact double, lookups return bit-identical results to calling
-/// the model directly.  Voltages outside the ladder (ad-hoc contexts)
-/// still memoize into the spare slots.
-class DelayFactorCache {
- public:
-  DelayFactorCache(const VoltageModel& vm, const SupplyLadder& ladder)
-      : vm_(&vm) {
-    for (SupplyId r = 0; r < ladder.depth(); ++r) {
-      v_[size_] = ladder.voltage(r);
-      f_[size_] = vm.delay_factor(v_[size_]);
-      ++size_;
-    }
-  }
-
-  double operator()(double vdd) {
-    for (int i = 0; i < size_; ++i)
-      if (v_[i] == vdd) return f_[i];
-    const double f = vm_->delay_factor(vdd);
-    const int slot = size_ < kSlots ? size_++ : kSlots - 1;
-    v_[slot] = vdd;
-    f_[slot] = f;
-    return f;
-  }
-
- private:
-  // Every ladder rung plus two spare slots for off-ladder probes.
-  static constexpr int kSlots = SupplyLadder::kMaxRungs + 2;
-
-  const VoltageModel* vm_;
-  int size_ = 0;
-  double v_[kSlots] = {};
-  double f_[kSlots] = {};
-};
-
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
-inline constexpr double kVoltEps = 1e-6;
 inline constexpr double kDefaultPinCap = 6.0;  // fF, unmapped gates
 /// Capacitive load each driven primary-output port charges its driver
 /// with (fF), as the load rule charges it.
@@ -152,14 +116,6 @@ const TimingGraph& current_graph(const TimingContext& ctx,
 
 // ---- the per-node rules --------------------------------------------------
 
-/// The through-converter test: an arc from a driver carrying a level
-/// converter into a sink at a strictly higher supply runs through the
-/// converter.
-inline bool through_converter(bool driver_has_lc, double driver_vdd,
-                              double sink_vdd) {
-  return driver_has_lc && sink_vdd > driver_vdd + kVoltEps;
-}
-
 /// One node's load, split between its own output stage and its level
 /// converter.
 struct LoadSplit {
@@ -177,11 +133,14 @@ class NodeRules {
   NodeRules(const TimingContext& ctx, const TimingGraph& g);
 
   const TimingGraph& graph() const { return *g_; }
-  double factor(double vdd) { return factor_(vdd); }
-  bool has_lc(NodeId id) const { return !lc_on_.empty() && lc_on_[id] != 0; }
+  /// Delay factor of `id`'s rung.
+  double factor(NodeId id) const { return factor_[level_[id]]; }
+  /// The converter rule: the pin runs through the driver's converter
+  /// exactly when a gate drives a gate on a strictly shallower rung (the
+  /// rule Design's converter flags follow; only gates have fanins).
   bool through_converter(NodeId driver, NodeId sink) const {
-    return timing_detail::through_converter(has_lc(driver), vdd_[driver],
-                                            vdd_[sink]);
+    return SupplyLadder::converter_needed(level_[driver], level_[sink]) &&
+           g_->is_gate(driver);
   }
 
   /// The load rule.  `cap(e)` is the pin cap of `u`'s e-th fanout entry
@@ -217,15 +176,13 @@ class NodeRules {
     s.direct += lib_->wire_load().wire_cap(direct_pins);
     return s;
   }
-  /// The load rule on the committed caps and supplies.
+  /// The load rule on the committed caps and rungs.
   LoadSplit load(NodeId u) const {
     const std::span<const double> caps = g_->fanout_pin_caps(u);
-    const bool lc = has_lc(u);
-    const double vdd = vdd_[u];
     return load(
         u, [&](std::size_t e) { return caps[e]; },
         [&](const TimingGraph::FanoutPin& p) {
-          return timing_detail::through_converter(lc, vdd, vdd_[p.sink]);
+          return through_converter(u, p.sink);
         });
   }
 
@@ -233,11 +190,11 @@ class NodeRules {
   /// (its converter's output when the pin routes through it) through the
   /// pin's arc at `id`'s supply factor into `r.load[id]`.  Inputs,
   /// constants and fanin-less gates arrive at t=0.
-  RiseFall arrival(NodeId id, const StaResult& r) {
+  RiseFall arrival(NodeId id, const StaResult& r) const {
     const std::span<const NodeId> fi = g_->fanins(id);
     if (!g_->is_gate(id) || fi.empty()) return {0.0, 0.0};
     const std::span<const TimingArc> arcs = g_->arcs(id);
-    const double vf = factor_(vdd_[id]);
+    const double vf = factor(id);
     const double load = r.load[id];
     RiseFall arr{-kInf, -kInf};
     for (std::size_t pin = 0; pin < fi.size(); ++pin) {
@@ -253,11 +210,10 @@ class NodeRules {
   }
 
   /// The LC-arrival rule: the output of a node's converter, defined when
-  /// the node carries one with load behind it (pin and wire caps are
-  /// positive, so that is exactly when a fanout pin routes through it).
-  RiseFall lc_arrival(bool carries_lc, const RiseFall& arr,
-                      double lc_load) const {
-    if (!carries_lc || !(lc_load > 0.0)) return {};
+  /// load sits behind it (pin and wire caps are positive, so that is
+  /// exactly when a fanout pin routes through it).
+  RiseFall lc_arrival(const RiseFall& arr, double lc_load) const {
+    if (!(lc_load > 0.0)) return {};
     return propagate(arr, *lc_arc_, lc_delay(lc_load));
   }
 
@@ -266,20 +222,18 @@ class NodeRules {
   /// through the sink's arc (and through `u`'s converter when the pin
   /// routes through it).  A push-form walk folds the same operands; with
   /// no NaNs the order of a min moves no bit.
-  RiseFall required(NodeId u, const StaResult& r) {
+  RiseFall required(NodeId u, const StaResult& r) const {
     RiseFall req{kInf, kInf};
     for (int k = 0; k < g_->port_fanout_count(u); ++k) {
       req.rise = std::min(req.rise, r.tspec);
       req.fall = std::min(req.fall, r.tspec);
     }
-    const bool lc = has_lc(u);
-    const double vdd = vdd_[u];
     for (const TimingGraph::FanoutPin& p : g_->fanout_pins(u)) {
       const TimingArc& arc = g_->arcs(p.sink)[p.pin];
-      const double vf = factor_(vdd_[p.sink]);
       RiseFall pin_req = back_propagate(
-          r.required[p.sink], arc, ArcView{arc, vf, r.load[p.sink]}.delay());
-      if (timing_detail::through_converter(lc, vdd, vdd_[p.sink]))
+          r.required[p.sink], arc,
+          ArcView{arc, factor(p.sink), r.load[p.sink]}.delay());
+      if (through_converter(u, p.sink))
         pin_req = back_propagate(pin_req, *lc_arc_, lc_delay(r.lc_load[u]));
       req.rise = std::min(req.rise, pin_req.rise);
       req.fall = std::min(req.fall, pin_req.fall);
@@ -288,24 +242,25 @@ class NodeRules {
   }
 
  private:
+  /// Converters run at the top rung, whatever rungs they bridge.
   RiseFall lc_delay(double lc_load) const {
-    return ArcView{*lc_arc_, lc_factor_, lc_load}.delay();
+    return ArcView{*lc_arc_, factor_[kTopRung], lc_load}.delay();
   }
 
   const TimingGraph* g_;
   const Library* lib_;
-  std::span<const double> vdd_;
-  std::span<const char> lc_on_;
-  DelayFactorCache factor_;
+  std::span<const SupplyId> level_;
+  /// SupplyLadder::delay_factors, indexed by rung; a fixed array, so the
+  /// rules copy without allocating.
+  std::array<double, SupplyLadder::kMaxRungs> factor_{};
   const TimingArc* lc_arc_ = nullptr;  // null without a converter cell
   double lc_cap_ = 0.0;                // converter input pin cap
-  double lc_factor_ = 0.0;             // delay factor at vdd_high
 };
 
 /// Forward half of a full analysis in rank order: every live node's load
 /// split, arrival and converter arrival, plus the worst port arrival.
 /// Sizes r.load / lc_load / arrival / lc_arrival to the network.
-void walk_forward(NodeRules& rules, StaResult& r);
+void walk_forward(const NodeRules& rules, StaResult& r);
 
 /// Where the backward half starts: sets r.tspec (a negative `tspec` takes
 /// the worst arrival) and every required time and slack to +inf.

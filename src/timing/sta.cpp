@@ -12,24 +12,20 @@ namespace dvs {
 namespace timing_detail {
 
 NodeRules::NodeRules(const TimingContext& ctx, const TimingGraph& g)
-    : g_(&g),
-      lib_(ctx.lib),
-      vdd_(ctx.node_vdd),
-      lc_on_(ctx.lc_on_output),
-      factor_(ctx.lib->voltage_model(), ctx.lib->supplies()) {
-  const int n = g.network().size();
-  DVS_EXPECTS(static_cast<int>(vdd_.size()) >= n);
-  DVS_EXPECTS(lc_on_.empty() || static_cast<int>(lc_on_.size()) >= n);
+    : g_(&g), lib_(ctx.lib), level_(ctx.node_level) {
+  DVS_EXPECTS(static_cast<int>(level_.size()) >= g.network().size());
   const Library& lib = *ctx.lib;
+  const std::vector<double> factors =
+      lib.supplies().delay_factors(lib.voltage_model());
+  std::copy(factors.begin(), factors.end(), factor_.begin());
   if (lib.level_converter() >= 0) {
     const Cell& lc = lib.cell(lib.level_converter());
     lc_arc_ = &lc.arcs[0];
     lc_cap_ = lc.input_cap[0];
   }
-  lc_factor_ = factor_(lib.vdd_high());
 }
 
-void walk_forward(NodeRules& rules, StaResult& r) {
+void walk_forward(const NodeRules& rules, StaResult& r) {
   const TimingGraph& g = rules.graph();
   const Network& net = g.network();
   const int n = net.size();
@@ -44,8 +40,7 @@ void walk_forward(NodeRules& rules, StaResult& r) {
     r.load[id] = split.direct;
     r.lc_load[id] = split.lc;
     r.arrival[id] = rules.arrival(id, r);
-    r.lc_arrival[id] =
-        rules.lc_arrival(rules.has_lc(id), r.arrival[id], split.lc);
+    r.lc_arrival[id] = rules.lc_arrival(r.arrival[id], split.lc);
   }
   r.worst_arrival = 0.0;
   for (const OutputPort& port : net.outputs())
@@ -91,7 +86,8 @@ double worst_delay_increase(double factor_from, double factor_to,
 StaResult run_sta(const TimingContext& ctx, double tspec) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   std::unique_ptr<const TimingGraph> own;
-  timing_detail::NodeRules rules(ctx, timing_detail::current_graph(ctx, own));
+  const timing_detail::NodeRules rules(ctx,
+                                       timing_detail::current_graph(ctx, own));
   StaResult r;
   timing_detail::walk_forward(rules, r);
   timing_detail::start_backward(r, tspec);
@@ -107,11 +103,11 @@ StaResult run_sta(const TimingContext& ctx, double tspec) {
 }
 
 StaResult run_sta(const Network& net, const Library& lib, double tspec) {
-  std::vector<double> vdd(net.size(), lib.vdd_high());
+  const std::vector<SupplyId> level(net.size(), kTopRung);
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib;
-  ctx.node_vdd = vdd;
+  ctx.node_level = level;
   return run_sta(ctx, tspec);
 }
 

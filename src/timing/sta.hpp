@@ -1,6 +1,7 @@
 // Static timing analysis with rise/fall arrival and required times over
-// pin-to-pin, load-dependent timing arcs, at per-node supply voltages,
-// including virtual level converters on low->high boundaries.
+// pin-to-pin, load-dependent timing arcs, at per-node supply-ladder rungs,
+// including a virtual level converter wherever a gate drives a gate on a
+// strictly shallower rung (SupplyLadder::converter_needed).
 //
 // The STA is deliberately decoupled from the dual-Vdd bookkeeping in
 // src/core: callers describe the operating state with a TimingContext of
@@ -32,15 +33,11 @@ struct RiseFall {
 struct TimingContext {
   const Network* net = nullptr;
   const Library* lib = nullptr;
-  /// Supply voltage per node id (dead slots ignored).
-  std::span<const double> node_vdd;
-  /// Supply-ladder rung per node id.  Optional: analyses that need rungs
-  /// (the TCB / boundary checks) fall back to matching `node_vdd` against
-  /// the library ladder when this span is empty.
+  /// Supply-ladder rung per node id (dead slots ignored): the one supply
+  /// assignment.  A node runs at its rung's voltage and delay factor, and
+  /// its converter carries exactly its fanout pins into gates on strictly
+  /// shallower rungs.
   std::span<const SupplyId> node_level;
-  /// True when a level converter sits on this node's output, carrying its
-  /// arcs into higher-voltage fanouts.
-  std::span<const char> lc_on_output;
   /// Compiled flat view of `net` (timing/graph.hpp).  When present and
   /// current every analysis walks it; when absent or stale the analysis
   /// compiles a private graph, so results never depend on freshness.
@@ -80,8 +77,8 @@ struct StaResult {
 /// worst slack), which is how the minimum-delay reference is taken.
 StaResult run_sta(const TimingContext& ctx, double tspec);
 
-/// Uniform single-supply convenience overload (all nodes at vdd_high, no
-/// level converters).
+/// Uniform single-supply convenience overload (all nodes on the top rung,
+/// so no level converters).
 StaResult run_sta(const Network& net, const Library& lib, double tspec);
 
 /// Delay of `node`'s arc from `pin` at supply `vdd` into load `load_ff`.

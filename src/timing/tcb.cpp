@@ -6,23 +6,11 @@
 
 namespace dvs {
 
-namespace {
-
-/// Rung of `id` under `ctx`: the explicit span when the provider filled
-/// it, else the exact ladder match on the node's supply (per-node vdd
-/// vectors are assigned from ladder voltages, so the match is sound).
-SupplyId rung_at(const TimingContext& ctx, NodeId id) {
-  if (!ctx.node_level.empty()) return ctx.node_level[id];
-  const int rung = ctx.lib->supplies().rung_of(ctx.node_vdd[id]);
-  DVS_ASSERT(rung >= 0);
-  return static_cast<SupplyId>(rung);
-}
-
-}  // namespace
-
 std::vector<NodeId> compute_tcb(const TimingContext& ctx,
                                 const StaResult& sta) {
   const Network& net = *ctx.net;
+  const std::span<const SupplyId> rung = ctx.node_level;
+  DVS_EXPECTS(static_cast<int>(rung.size()) >= net.size());
   const SupplyLadder& ladder = ctx.lib->supplies();
   const SupplyId deepest = ladder.deepest();
   const std::vector<double> factor =
@@ -31,29 +19,17 @@ std::vector<NodeId> compute_tcb(const TimingContext& ctx,
   std::vector<char> drives_port(net.size(), 0);
   for (const OutputPort& port : net.outputs()) drives_port[port.driver] = 1;
 
-  // Rungs are memoized per node (the naive sweep re-derives a node's
-  // rung once per fanin), and the deepen probes — can this gate drop one
-  // rung within its own slack? — run as one batched pass per
-  // current-rung group with the factor pair hoisted.  Membership is
-  // emitted in gate order.
-  std::vector<SupplyId> rung(net.size(), kTopRung);
-  std::vector<char> have_rung(net.size(), 0);
-  const auto rung_of_node = [&](NodeId id) {
-    if (have_rung[id] == 0) {
-      rung[id] = rung_at(ctx, id);
-      have_rung[id] = 1;
-    }
-    return rung[id];
-  };
-
+  // The deepen probes — can this gate drop one rung within its own
+  // slack? — run as one batched pass per current-rung group with the
+  // factor pair hoisted.  Membership is emitted in gate order.
   std::vector<NodeId> adjacent;  // for_each_gate order
   std::vector<std::vector<NodeId>> by_rung(ladder.depth());
   net.for_each_gate([&](const Node& n) {
-    const SupplyId cur = rung_of_node(n.id);
+    const SupplyId cur = rung[n.id];
     if (cur == deepest) return;  // already on the deepest rung
     bool adjacent_to_low = drives_port[n.id] != 0;
     for (NodeId fo : n.fanouts)
-      if (rung_of_node(fo) > cur) adjacent_to_low = true;
+      if (rung[fo] > cur) adjacent_to_low = true;
     if (!adjacent_to_low) return;
     adjacent.push_back(n.id);
     by_rung[cur].push_back(n.id);

@@ -33,7 +33,8 @@ TEST_F(DesignTest, StartsAllHigh) {
   EXPECT_EQ(design.count_lcs(), 0);
   design.network().for_each_gate([&](const Node& g) {
     EXPECT_EQ(design.level(g.id), kTopRung);
-    EXPECT_DOUBLE_EQ(design.node_vdd()[g.id], lib_.vdd_high());
+    EXPECT_EQ(design.timing_context().node_level[g.id], kTopRung);
+    EXPECT_EQ(design.power_context().node_level[g.id], kTopRung);
   });
 }
 

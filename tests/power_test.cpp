@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dual_ladder.hpp"
 #include "support/units.hpp"
 
 namespace dvs {
@@ -50,21 +51,21 @@ TEST_F(PowerTest, QuadraticInSupply) {
   act.alpha01.assign(net.size(), 0.2);
   act.prob_one.assign(net.size(), 0.5);
 
-  std::vector<double> vdd_high(net.size(), lib_.vdd_high());
-  std::vector<double> vdd_low(net.size(), lib_.vdd_low());
+  const std::vector<SupplyId> high(net.size(), kTopRung);
+  const std::vector<SupplyId> low(net.size(), kLowRung);
   PowerContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
   ctx.alpha01 = act.alpha01;
-  ctx.node_vdd = vdd_high;
+  ctx.node_level = high;
   const double ph = compute_power(ctx).switching;
-  ctx.node_vdd = vdd_low;
+  ctx.node_level = low;
   const double pl = compute_power(ctx).switching;
   const double ratio = (4.3 * 4.3) / (5.0 * 5.0);
   EXPECT_NEAR(pl / ph, ratio, 1e-9);
 }
 
-TEST_F(PowerTest, ConverterPowerAppearsWithFlag) {
+TEST_F(PowerTest, ConverterPowerAppearsAtAnUpwardBoundary) {
   Network net("t");
   const NodeId a = net.add_input("a");
   const int inv = lib_.find("inv_d0");
@@ -74,17 +75,16 @@ TEST_F(PowerTest, ConverterPowerAppearsWithFlag) {
   Activity act;
   act.alpha01.assign(net.size(), 0.25);
 
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
-  vdd[g1] = lib_.vdd_low();
-  std::vector<char> lc(net.size(), 0);
+  std::vector<SupplyId> level(net.size(), kTopRung);
+  level[g1] = kLowRung;
+  level[g2] = kLowRung;
   PowerContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
   ctx.alpha01 = act.alpha01;
-  ctx.node_vdd = vdd;
-  ctx.lc_on_output = lc;
-  EXPECT_DOUBLE_EQ(compute_power(ctx).converter, 0.0);
-  lc[g1] = 1;
+  ctx.node_level = level;
+  EXPECT_DOUBLE_EQ(compute_power(ctx).converter, 0.0);  // stepping down
+  level[g2] = kTopRung;
   const PowerBreakdown with = compute_power(ctx);
   EXPECT_GT(with.converter, 0.0);
   EXPECT_GT(with.node_power[g1], 0.0);
@@ -98,14 +98,14 @@ TEST_F(PowerTest, LoweringAGateReducesItsPower) {
   Activity act;
   act.alpha01.assign(net.size(), 0.25);
 
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
+  std::vector<SupplyId> level(net.size(), kTopRung);
   PowerContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
   ctx.alpha01 = act.alpha01;
-  ctx.node_vdd = vdd;
+  ctx.node_level = level;
   const double before = compute_power(ctx).node_power[g];
-  vdd[g] = lib_.vdd_low();
+  level[g] = kLowRung;
   const double after = compute_power(ctx).node_power[g];
   EXPECT_LT(after, before);
 }

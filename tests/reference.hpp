@@ -2,7 +2,11 @@
 // the flat-graph engines: pointer-chasing AoS traversal, per-visit fanout
 // deduplication, per-arc library resolution.  The randomized equivalence
 // suites (timing_graph_test, incremental_vs_full_test) require the
-// kernel's full walk and load computation to reproduce these bit-for-bit.
+// kernel's full walk to reproduce these bit-for-bit.  The oracle keeps
+// the seed's supply model: it derives a voltage per node and a converter
+// flag per gate from the context's rungs, and routes a pin through a
+// converter when its driver is flagged and the sink's voltage is higher,
+// so it checks the kernel's rung rule from outside.
 // Also the eager CVS loop, the oracle for run_cvs's reverse sweep.
 #pragma once
 
@@ -14,7 +18,6 @@
 #include "support/contracts.hpp"
 #include "timing/incremental.hpp"
 #include "timing/kernel.hpp"
-#include "timing/loads.hpp"
 #include "timing/sta.hpp"
 #include "timing/tcb.hpp"
 
@@ -23,12 +26,12 @@ namespace dvs {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kVoltEps = 1e-6;
 
 using timing_detail::ArcView;
 using timing_detail::back_propagate;
 using timing_detail::default_arc;
 using timing_detail::kDefaultPinCap;
-using timing_detail::kVoltEps;
 using timing_detail::propagate;
 
 double pin_cap(const Library& lib, const Node& sink, int pin) {
@@ -38,15 +41,50 @@ double pin_cap(const Library& lib, const Node& sink, int pin) {
 
 }  // namespace
 
+/// The seed's per-node supply state, derived from the context's rungs:
+/// each node's ladder voltage, and a converter flag on each gate that
+/// drives a gate on a strictly shallower rung.
+struct ReferenceSupplies {
+  std::vector<double> vdd;
+  std::vector<char> lc;
+
+  explicit ReferenceSupplies(const TimingContext& ctx) {
+    const Network& net = *ctx.net;
+    const SupplyLadder& ladder = ctx.lib->supplies();
+    DVS_EXPECTS(static_cast<int>(ctx.node_level.size()) >= net.size());
+    vdd.assign(net.size(), ladder.top());
+    lc.assign(net.size(), 0);
+    net.for_each_node([&](const Node& u) {
+      vdd[u.id] = ladder.voltage(ctx.node_level[u.id]);
+      if (!u.is_gate()) return;
+      for (NodeId fo : u.fanouts)
+        if (net.node(fo).is_gate() &&
+            ctx.node_level[fo] < ctx.node_level[u.id])
+          lc[u.id] = 1;
+    });
+  }
+
+  bool through_lc(NodeId driver, NodeId sink) const {
+    return lc[driver] != 0 && vdd[sink] > vdd[driver] + kVoltEps;
+  }
+};
+
+/// The seed's load split per node.
+struct ReferenceLoads {
+  std::vector<double> direct;
+  std::vector<double> lc;
+  std::vector<int> lc_fanout_pins;
+};
+
 /// Load computation over the raw Network, ignoring any ctx.graph.
-inline NodeLoads compute_loads_reference(const TimingContext& ctx) {
+inline ReferenceLoads compute_loads_reference(const TimingContext& ctx) {
   DVS_EXPECTS(ctx.net != nullptr && ctx.lib != nullptr);
   const Network& net = *ctx.net;
   const Library& lib = *ctx.lib;
   const int n = net.size();
-  DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
+  const ReferenceSupplies supplies(ctx);
 
-  NodeLoads loads;
+  ReferenceLoads loads;
   loads.direct.assign(n, 0.0);
   loads.lc.assign(n, 0.0);
   loads.lc_fanout_pins.assign(n, 0);
@@ -58,7 +96,7 @@ inline NodeLoads compute_loads_reference(const TimingContext& ctx) {
       for (std::size_t pin = 0; pin < v.fanins.size(); ++pin) {
         if (v.fanins[pin] != u.id) continue;
         const double cap = pin_cap(lib, v, static_cast<int>(pin));
-        if (arc_through_lc(ctx, u.id, vid)) {
+        if (supplies.through_lc(u.id, vid)) {
           loads.lc[u.id] += cap;
           ++loads.lc_fanout_pins[u.id];
         } else {
@@ -93,13 +131,8 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
   const Network& net = *ctx.net;
   const Library& lib = *ctx.lib;
   const int n = net.size();
-  DVS_EXPECTS(static_cast<int>(ctx.node_vdd.size()) >= n);
-  DVS_EXPECTS(ctx.lc_on_output.empty() ||
-              static_cast<int>(ctx.lc_on_output.size()) >= n);
-
-  auto has_lc = [&](NodeId id) {
-    return !ctx.lc_on_output.empty() && ctx.lc_on_output[id] != 0;
-  };
+  const ReferenceSupplies supplies(ctx);
+  const std::vector<double>& vdd = supplies.vdd;
   const Cell* lc_cell =
       lib.level_converter() >= 0 ? &lib.cell(lib.level_converter()) : nullptr;
 
@@ -109,7 +142,7 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
   r.required.assign(n, RiseFall{kInf, kInf});
   r.slack.assign(n, kInf);
 
-  NodeLoads loads = compute_loads_reference(ctx);
+  ReferenceLoads loads = compute_loads_reference(ctx);
   r.load = std::move(loads.direct);
   r.lc_load = std::move(loads.lc);
   const std::vector<int>& lc_count = loads.lc_fanout_pins;
@@ -122,7 +155,7 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
     RiseFall arr{0.0, 0.0};
     if (v.is_gate()) {
       arr = {-kInf, -kInf};
-      const double vf = lib.voltage_model().delay_factor(ctx.node_vdd[id]);
+      const double vf = lib.voltage_model().delay_factor(vdd[id]);
       for (std::size_t pin = 0; pin < v.fanins.size(); ++pin) {
         const NodeId uid = v.fanins[pin];
         const TimingArc arc = v.cell >= 0
@@ -130,10 +163,9 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
                                   : default_arc(v.function,
                                                 static_cast<int>(pin));
         const RiseFall d = ArcView{arc, vf, r.load[id]}.delay();
-        const bool through_lc =
-            has_lc(uid) && ctx.node_vdd[id] > ctx.node_vdd[uid] + kVoltEps;
-        const RiseFall& in =
-            through_lc ? r.lc_arrival[uid] : r.arrival[uid];
+        const RiseFall& in = supplies.through_lc(uid, id)
+                                 ? r.lc_arrival[uid]
+                                 : r.arrival[uid];
         const RiseFall cand = propagate(in, arc, d);
         arr.rise = std::max(arr.rise, cand.rise);
         arr.fall = std::max(arr.fall, cand.fall);
@@ -141,7 +173,7 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
       if (v.fanins.empty()) arr = {0.0, 0.0};
     }
     r.arrival[id] = arr;
-    if (has_lc(id) && lc_count[id] > 0) {
+    if (supplies.lc[id] != 0 && lc_count[id] > 0) {
       const double vf = lib.voltage_model().delay_factor(vdd_high);
       const RiseFall d =
           ArcView{lc_cell->arcs[0], vf, r.lc_load[id]}.delay();
@@ -163,7 +195,7 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Node& v = net.node(*it);
     if (!v.is_gate()) continue;
-    const double vf = lib.voltage_model().delay_factor(ctx.node_vdd[v.id]);
+    const double vf = lib.voltage_model().delay_factor(vdd[v.id]);
     for (std::size_t pin = 0; pin < v.fanins.size(); ++pin) {
       const NodeId uid = v.fanins[pin];
       const TimingArc arc =
@@ -171,9 +203,7 @@ inline StaResult run_sta_reference(const TimingContext& ctx,
                       : default_arc(v.function, static_cast<int>(pin));
       const RiseFall d = ArcView{arc, vf, r.load[v.id]}.delay();
       RiseFall pin_req = back_propagate(r.required[v.id], arc, d);
-      const bool through_lc =
-          has_lc(uid) && ctx.node_vdd[v.id] > ctx.node_vdd[uid] + kVoltEps;
-      if (through_lc) {
+      if (supplies.through_lc(uid, v.id)) {
         const double lcvf = lib.voltage_model().delay_factor(vdd_high);
         const RiseFall lcd =
             ArcView{lc_cell->arcs[0], lcvf, r.lc_load[uid]}.delay();

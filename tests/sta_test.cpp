@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dual_ladder.hpp"
 #include "timing/tcb.hpp"
 
 namespace dvs {
@@ -54,11 +55,11 @@ TEST_F(StaTest, RelaxedTspecGivesUniformSlack) {
 TEST_F(StaTest, LowVoltageIncreasesArrival) {
   Network net = inv_chain(4);
   const StaResult high = run_sta(net, lib_, -1.0);
-  std::vector<double> vdd(net.size(), lib_.vdd_low());
+  const std::vector<SupplyId> level(net.size(), kLowRung);
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
-  ctx.node_vdd = vdd;
+  ctx.node_level = level;
   const StaResult low = run_sta(ctx, -1.0);
   EXPECT_GT(low.worst_arrival, high.worst_arrival * 1.05);
 }
@@ -71,19 +72,28 @@ TEST_F(StaTest, LevelConverterAddsArcDelay) {
   const NodeId g2 = net.add_gate(tt_inv(), {g1}, inv);
   net.add_output("y", g2);
 
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
-  vdd[g1] = lib_.vdd_low();
-  std::vector<char> lc(net.size(), 0);
+  std::vector<SupplyId> level(net.size(), kTopRung);
+  level[g1] = kLowRung;
+  level[g2] = kLowRung;
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
-  ctx.node_vdd = vdd;
-  ctx.lc_on_output = lc;
+  ctx.node_level = level;
+  // Stepping down (or staying level) needs no converter: g2 reads g1.
   const StaResult without = run_sta(ctx, -1.0);
-  lc[g1] = 1;
+  EXPECT_EQ(without.lc_load[g1], 0.0);
+  EXPECT_EQ(without.lc_arrival[g1].max(), 0.0);
+
+  // g1 low under a high g2: g2's pin runs through g1's converter, whose
+  // arc delay sits between g1's output and g2's input.
+  level[g2] = kTopRung;
   const StaResult with = run_sta(ctx, -1.0);
-  EXPECT_GT(with.worst_arrival, without.worst_arrival + 0.05);
   EXPECT_GT(with.lc_load[g1], 0.0);
+  EXPECT_GT(with.lc_arrival[g1].max(), with.arrival[g1].max() + 0.05);
+  const RiseFall d = arc_delay(lib_, lib_.cell(inv), 0, lib_.vdd_high(),
+                               with.load[g2]);
+  EXPECT_DOUBLE_EQ(with.arrival[g2].rise, with.lc_arrival[g1].fall + d.rise);
+  EXPECT_DOUBLE_EQ(with.arrival[g2].fall, with.lc_arrival[g1].rise + d.fall);
 }
 
 TEST_F(StaTest, NegativeUnateSwapsEdges) {
@@ -110,11 +120,11 @@ TEST_F(StaTest, WorstDelayIncreaseMatchesFactor) {
 
 TEST_F(StaTest, TcbOfTightChainIsThePoDriver) {
   Network net = inv_chain(4);
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
+  const std::vector<SupplyId> level(net.size(), kTopRung);
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
-  ctx.node_vdd = vdd;
+  ctx.node_level = level;
   const StaResult sta = run_sta(ctx, -1.0);  // zero slack everywhere
   const std::vector<NodeId> tcb = compute_tcb(ctx, sta);
   ASSERT_EQ(tcb.size(), 1u);
@@ -123,11 +133,11 @@ TEST_F(StaTest, TcbOfTightChainIsThePoDriver) {
 
 TEST_F(StaTest, TcbEmptyWhenEverythingFits) {
   Network net = inv_chain(4);
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
+  const std::vector<SupplyId> level(net.size(), kTopRung);
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
-  ctx.node_vdd = vdd;
+  ctx.node_level = level;
   const StaResult tight = run_sta(ctx, -1.0);
   const StaResult loose = run_sta(ctx, tight.worst_arrival * 2.0);
   EXPECT_TRUE(compute_tcb(ctx, loose).empty());

@@ -1,5 +1,5 @@
 // Tests for the support layer: deterministic RNG and unit formatting,
-// the load-computation helper shared by STA and power, and the
+// the timing kernel's load rule shared by STA and power, and the
 // robustness primitives under the distributed service — bounded backoff,
 // deterministic fault injection, and the hardened socket layer.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,7 +21,7 @@
 #include "support/rng.hpp"
 #include "support/socket.hpp"
 #include "support/units.hpp"
-#include "timing/loads.hpp"
+#include "timing/sta.hpp"
 
 namespace dvs {
 namespace {
@@ -68,6 +69,37 @@ TEST(Units, Formatting) {
   EXPECT_EQ(format_percent(0.1912), "19.12");
 }
 
+TEST(Units, ParseBytesRejectsASignAndAnOverflow) {
+  std::size_t n = 0;
+  EXPECT_TRUE(parse_bytes("4096", &n));
+  EXPECT_EQ(n, 4096u);
+  EXPECT_TRUE(parse_bytes("256M", &n));
+  EXPECT_EQ(n, std::size_t{256} << 20);
+  EXPECT_TRUE(parse_bytes("1k", &n));
+  EXPECT_EQ(n, 1024u);
+  EXPECT_TRUE(parse_bytes("0x10G", &n));
+  EXPECT_EQ(n, std::size_t{16} << 30);
+  EXPECT_TRUE(parse_bytes("18446744073709551615", &n));
+  EXPECT_EQ(n, std::numeric_limits<std::size_t>::max());
+  EXPECT_TRUE(parse_bytes("17179869183G", &n));  // 2^64 - 2^30
+  EXPECT_EQ(n, std::numeric_limits<std::size_t>::max() - ((1u << 30) - 1));
+
+  // A sign is refused, not wrapped: "-1" used to read as 2^64 - 1.
+  n = 7;
+  for (const char* bad : {"-1", "-1K", "+1", " -1"}) {
+    EXPECT_FALSE(parse_bytes(bad, &n)) << bad;
+    EXPECT_EQ(n, 7u) << bad;
+  }
+  // A count past 2^64 - 1, before or after the suffix, is refused.
+  for (const char* bad : {"18446744073709551616", "17179869184G",
+                          "17592186044416M", "18014398509481984K"}) {
+    EXPECT_FALSE(parse_bytes(bad, &n)) << bad;
+    EXPECT_EQ(n, 7u) << bad;
+  }
+  for (const char* bad : {"", "K", "12KB", "1.5M", "x"})
+    EXPECT_FALSE(parse_bytes(bad, &n)) << bad;
+}
+
 TEST(Units, SwitchPowerConstant) {
   // alpha * f[MHz] * C[fF] * V^2 * 1e-3 == uW: check one known point.
   // 0.25 * 20 MHz * 10 fF * 25 V^2 = 1.25 uW.
@@ -90,32 +122,29 @@ TEST_F(LoadsTest, SplitsAcrossConverterBoundary) {
   net.add_output("x", hi);
   net.add_output("y", lo);
 
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
-  vdd[g] = lib_.vdd_low();
-  vdd[lo] = lib_.vdd_low();
-  std::vector<char> lc(net.size(), 0);
-  lc[g] = 1;
+  // g one rung down drives hi (top rung) and lo (g's own rung).
+  std::vector<SupplyId> level(net.size(), kTopRung);
+  level[g] = SupplyId{1};
+  level[lo] = SupplyId{1};
 
   TimingContext ctx;
   ctx.net = &net;
   ctx.lib = &lib_;
-  ctx.node_vdd = vdd;
-  ctx.lc_on_output = lc;
-  EXPECT_TRUE(arc_through_lc(ctx, g, hi));
-  EXPECT_FALSE(arc_through_lc(ctx, g, lo));
-
-  const NodeLoads loads = compute_loads(ctx);
-  EXPECT_EQ(loads.lc_fanout_pins[g], 1);
-  // LC side: the high fanout pin + its wire.
+  ctx.node_level = level;
+  const StaResult sta = run_sta(ctx, -1.0);
+  // LC side: exactly the high fanout pin + its wire.
   const double lc_side = lib_.cell(inv).input_cap[0] +
                          lib_.wire_load().wire_cap(1);
-  EXPECT_NEAR(loads.lc[g], lc_side, 1e-12);
+  EXPECT_NEAR(sta.lc_load[g], lc_side, 1e-12);
   // Direct side: the low pin + the converter's input + wire(2).
   const double direct =
       lib_.cell(inv).input_cap[0] +
       lib_.cell(lib_.level_converter()).input_cap[0] +
       lib_.wire_load().wire_cap(2);
-  EXPECT_NEAR(loads.direct[g], direct, 1e-12);
+  EXPECT_NEAR(sta.load[g], direct, 1e-12);
+  // The sinks carry no converter of their own.
+  EXPECT_EQ(sta.lc_load[hi], 0.0);
+  EXPECT_EQ(sta.lc_load[lo], 0.0);
 }
 
 TEST_F(LoadsTest, MultiPinFanoutCountsEveryPin) {
@@ -126,16 +155,12 @@ TEST_F(LoadsTest, MultiPinFanoutCountsEveryPin) {
   const NodeId g = net.add_gate(tt_inv(), {a}, lib_.find("inv_d0"));
   const NodeId s = net.add_gate(tt_xnor(2), {g, g}, xnor);
   net.add_output("y", s);
-  std::vector<double> vdd(net.size(), lib_.vdd_high());
-  TimingContext ctx;
-  ctx.net = &net;
-  ctx.lib = &lib_;
-  ctx.node_vdd = vdd;
-  const NodeLoads loads = compute_loads(ctx);
-  EXPECT_NEAR(loads.direct[g],
+  const StaResult sta = run_sta(net, lib_, -1.0);
+  EXPECT_NEAR(sta.load[g],
               2 * lib_.cell(xnor).input_cap[0] +
                   lib_.wire_load().wire_cap(2),
               1e-12);
+  EXPECT_EQ(sta.lc_load[g], 0.0);
 }
 
 // ---- BackoffPolicy ---------------------------------------------------------

@@ -273,12 +273,14 @@ TEST_F(TimingGraphTest, StaleGraphInContextFallsBackToFreshCompile) {
   EXPECT_TRUE(bit_identical(via_stale, run_sta_reference(ctx, tspec), edited));
   EXPECT_TRUE(bit_identical(via_stale, fresh, edited));
 
-  // Loads.
-  const NodeLoads fresh_loads = compute_loads(ctx);
-  const NodeLoads stale_loads = compute_loads(stale_ctx);
-  EXPECT_EQ(stale_loads.direct, fresh_loads.direct);
-  EXPECT_EQ(stale_loads.lc, fresh_loads.lc);
-  EXPECT_EQ(stale_loads.lc_fanout_pins, fresh_loads.lc_fanout_pins);
+  // Power: the load rule behind compute_power.
+  PowerContext power_ctx = design.power_context();
+  const PowerBreakdown fresh_power = compute_power(power_ctx);
+  power_ctx.graph = &stale;
+  const PowerBreakdown stale_power = compute_power(power_ctx);
+  EXPECT_EQ(stale_power.node_power, fresh_power.node_power);
+  EXPECT_EQ(stale_power.converter, fresh_power.converter);
+  EXPECT_GT(fresh_power.converter, 0.0);
 
   // Critical-path network.
   const std::vector<NodeId> tcb = compute_tcb(ctx, fresh);

@@ -19,6 +19,7 @@
 
 #include "service/server.hpp"
 #include "service/worker.hpp"
+#include "support/units.hpp"
 
 namespace {
 
@@ -56,24 +57,6 @@ void usage(std::FILE* out) {
       out);
 }
 
-bool parse_bytes(const char* text, std::size_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (end == text) return false;
-  std::size_t scale = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1ull << 10; break;
-      case 'm': case 'M': scale = 1ull << 20; break;
-      case 'g': case 'G': scale = 1ull << 30; break;
-      default: return false;
-    }
-    if (end[1] != '\0') return false;
-  }
-  *out = static_cast<std::size_t>(value * scale);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,7 +78,7 @@ int main(int argc, char** argv) {
       agent_config.name = value();
     else if (flag == "--cache-bytes") {
       const char* text = value();
-      if (!parse_bytes(text, &core.config.cache_bytes) ||
+      if (!dvs::parse_bytes(text, &core.config.cache_bytes) ||
           core.config.cache_bytes == 0) {
         std::fprintf(stderr,
                      "dvs-worker: --cache-bytes wants a byte count, got "

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "service/server.hpp"
+#include "support/units.hpp"
 
 namespace {
 
@@ -35,6 +36,7 @@ void usage(std::FILE* out) {
       "            [--scheduler] [--lease-ms N] [--heartbeat-timeout-ms N]\n"
       "            [--dispatch-retries N] [--dispatch-backoff-ms N]\n"
       "            [--join ADDR] [--worker-name S] [--capacity N]\n"
+      "            [--heartbeat-ms N]\n"
       "            [--fault-inject SPEC] [--verbose]\n"
       "\n"
       "Serves dual-Vdd optimization jobs over newline-delimited JSON\n"
@@ -85,6 +87,7 @@ void usage(std::FILE* out) {
       "  --worker-name S      identity announced on --join\n"
       "  --capacity N         max concurrently leased jobs on --join\n"
       "                       (default: worker threads)\n"
+      "  --heartbeat-ms N     heartbeat cadence on --join (default 500)\n"
       "  --fault-inject SPEC  deterministic fault injection for the --join\n"
       "                       worker side, e.g.\n"
       "                       'job-reply=corrupt-reply@0.5,seed=7'\n"
@@ -92,26 +95,6 @@ void usage(std::FILE* out) {
       "  --verbose            log connections to stderr\n"
       "  --help               this text\n",
       out);
-}
-
-/// Parses "N", "NK", "NM", or "NG" (case-insensitive) into bytes.
-/// Returns false on trailing garbage or a missing number.
-bool parse_bytes(const char* text, std::size_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (end == text) return false;
-  std::size_t scale = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1ull << 10; break;
-      case 'm': case 'M': scale = 1ull << 20; break;
-      case 'g': case 'G': scale = 1ull << 30; break;
-      default: return false;
-    }
-    if (end[1] != '\0') return false;
-  }
-  *out = static_cast<std::size_t>(value * scale);
-  return true;
 }
 
 }  // namespace
@@ -125,7 +108,7 @@ int main(int argc, char** argv) {
     };
     auto bytes_value = [&](std::size_t* out) {
       const char* text = value();
-      if (!parse_bytes(text, out)) {
+      if (!dvs::parse_bytes(text, out)) {
         std::fprintf(stderr, "dvsd: %s wants a byte count, got '%s'\n",
                      flag.c_str(), text);
         std::exit(1);
