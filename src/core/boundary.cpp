@@ -4,32 +4,6 @@
 
 namespace dvs {
 
-bool lc_needed(const Design& design, NodeId id) {
-  const Network& net = design.network();
-  if (!net.is_valid(id) || !net.node(id).is_gate()) return false;
-  const SupplyId driver = design.level(id);
-  if (driver == kTopRung) return false;  // nothing sits above the top
-  for (NodeId fo : net.node(id).fanouts) {
-    const Node& sink = net.node(fo);
-    if (sink.is_gate() &&
-        SupplyLadder::converter_needed(driver, design.level(fo)))
-      return true;
-  }
-  return false;
-}
-
-void recompute_boundary(Design& design) {
-  design.network().for_each_node([&](const Node& n) {
-    design.lc_flags_[n.id] = lc_needed(design, n.id) ? 1 : 0;
-  });
-}
-
-void refresh_boundary_around(Design& design, NodeId id) {
-  design.lc_flags_[id] = lc_needed(design, id) ? 1 : 0;
-  for (NodeId fi : design.network().node(id).fanins)
-    design.lc_flags_[fi] = lc_needed(design, fi) ? 1 : 0;
-}
-
 Network materialize_level_converters(const Design& design,
                                      std::vector<char>* low_mask_out) {
   Network net = design.network();  // deep copy
@@ -46,16 +20,12 @@ Network materialize_level_converters(const Design& design,
 
   for (NodeId id = 0; id < original_size; ++id) {
     if (!design.needs_lc(id)) continue;
-    // Gate fanouts on strictly shallower rungs move behind one shared
-    // converter; same-or-deeper gates and output ports stay direct.
-    const SupplyId driver = design.level(id);
+    // The fanouts whose pins run through the converter move behind one
+    // shared converter; every other pin and the output ports stay direct.
     std::vector<NodeId> moved;
-    for (NodeId fo : net.node(id).fanouts) {
-      const Node& sink = net.node(fo);
-      if (sink.is_gate() && fo < original_size &&
-          SupplyLadder::converter_needed(driver, design.level(fo)))
+    for (NodeId fo : net.node(id).fanouts)
+      if (fo < original_size && design.through_converter(id, fo))
         moved.push_back(fo);
-    }
     DVS_ASSERT(!moved.empty());
     net.insert_between(id, moved, {}, tt_buf(), lc_cell,
                        net.node(id).name + "_lc");

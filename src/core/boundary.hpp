@@ -1,32 +1,24 @@
-// Level-converter boundary bookkeeping.  A gate needs a converter on its
-// output exactly when at least one fanout gate sits on a strictly
-// shallower (higher voltage) ladder rung than the gate itself — the
+// Level-converter export.  Design stores rungs only; whether a gate needs
+// a converter is the timing kernel's one pin rule (Design::needs_lc): a
+// gate needs one exactly when it drives a gate on a strictly shallower
+// (higher voltage) ladder rung that is not itself a converter cell — the
 // DC-leakage "driving incompatibility" of the paper, generalized from
-// low->high to any upward rung boundary.  Stepping down never needs one.
-// Primary outputs are block boundaries: restoration there belongs to the
-// surrounding system (flip-flop style converters, as in Usami-Horowitz),
-// so driving a port never sets the flag.
+// low->high to any upward rung boundary.  Stepping down never needs one,
+// and a real converter cell ends the boundary.  Primary outputs are block
+// boundaries: restoration there belongs to the surrounding system
+// (flip-flop style converters, as in Usami-Horowitz), so driving a port
+// never needs one.
 #pragma once
 
 #include "core/design.hpp"
 
 namespace dvs {
 
-/// True under the current assignment (pure query, no caching).
-bool lc_needed(const Design& design, NodeId id);
-
-/// Rewrites every LC flag from scratch.
-void recompute_boundary(Design& design);
-
-/// Refreshes the flags that can change when `id`'s level flips: its own
-/// and those of its gate fanins.
-void refresh_boundary_around(Design& design, NodeId id);
-
 /// Produces a copy of the design's network with the virtual converters
-/// instantiated as real `lvlconv` gates in front of their high-voltage
-/// fanouts.  Returns the new network; `low_mask_out`, when non-null,
-/// receives the per-node low flags of the new network (converters and
-/// high gates are false).
+/// instantiated as real `lvlconv` gates in front of the fanouts whose
+/// pins run through them.  Returns the new network; `low_mask_out`, when
+/// non-null, receives the per-node low flags of the new network
+/// (converters and high gates are false).
 Network materialize_level_converters(const Design& design,
                                      std::vector<char>* low_mask_out);
 

@@ -79,20 +79,7 @@ CvsResult run_cvs_with_tcb(Design& design, const CvsOptions& options) {
 }
 
 bool cvs_cluster_invariant_holds(const Design& design) {
-  const Network& net = design.network();
-  bool ok = true;
-  net.for_each_gate([&](const Node& gate) {
-    const SupplyId driver = design.level(gate.id);
-    if (driver == kTopRung) return;
-    for (NodeId fo : gate.fanouts) {
-      const Node& sink = net.node(fo);
-      if (sink.is_gate() &&
-          SupplyLadder::converter_needed(driver, design.level(fo)))
-        ok = false;
-    }
-    if (design.needs_lc(gate.id)) ok = false;
-  });
-  return ok;
+  return design.count_lcs() == 0;
 }
 
 }  // namespace dvs

@@ -37,8 +37,9 @@ CvsResult run_cvs(Design& design, const CvsOptions& options = {});
 /// to push the TCB).
 CvsResult run_cvs_with_tcb(Design& design, const CvsOptions& options = {});
 
-/// Invariant checker used by tests: no gate sits deeper than any of its
-/// gate fanouts (cluster contingency), and no level converter flag is set.
+/// Invariant checker used by tests: no gate needs a level converter, i.e.
+/// none sits deeper than a gate it drives (cluster contingency; a real
+/// converter cell ends the boundary, Design::through_converter).
 bool cvs_cluster_invariant_holds(const Design& design);
 
 }  // namespace dvs

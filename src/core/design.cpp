@@ -1,7 +1,7 @@
 #include "core/design.hpp"
 
-#include "core/boundary.hpp"
 #include "support/contracts.hpp"
+#include "timing/kernel.hpp"
 
 namespace dvs {
 
@@ -9,7 +9,6 @@ Design::Design(Network net, const Library& lib, double tspec)
     : net_(std::move(net)), lib_(&lib) {
   const int n = net_.size();
   levels_.assign(n, kTopRung);
-  lc_flags_.assign(n, 0);
   original_cells_.assign(n, -1);
   net_.for_each_gate([&](const Node& g) {
     original_cells_[g.id] = g.cell;
@@ -32,8 +31,6 @@ void Design::set_level(NodeId id, SupplyId level) {
   DVS_EXPECTS(net_.is_valid(id) && net_.node(id).is_gate());
   DVS_EXPECTS(level < supplies().depth());
   levels_[id] = level;
-  // The boundary can change at this node and at each gate fanin.
-  refresh_boundary_around(*this, id);
 }
 
 int Design::count_low() const {
@@ -50,10 +47,25 @@ std::vector<int> Design::count_per_level() const {
   return counts;
 }
 
+bool Design::through_converter(NodeId driver, NodeId sink) const {
+  return timing_detail::pin_through_converter(
+      levels_[driver], levels_[sink],
+      [&] { return net_.node(driver).is_gate(); },
+      [&] { return lib_->is_level_converter(net_.node(sink).cell); });
+}
+
+bool Design::needs_lc(NodeId id) const {
+  // Nothing sits above the top rung, so no pin from there needs one.
+  if (!net_.is_valid(id) || levels_[id] == kTopRung) return false;
+  for (NodeId fo : net_.node(id).fanouts)
+    if (through_converter(id, fo)) return true;
+  return false;
+}
+
 int Design::count_lcs() const {
   int count = 0;
   net_.for_each_gate([&](const Node& g) {
-    if (lc_flags_[g.id]) ++count;
+    if (needs_lc(g.id)) ++count;
   });
   return count;
 }
@@ -61,10 +73,8 @@ int Design::count_lcs() const {
 void Design::sync_with_network() {
   const int n = net_.size();
   levels_.resize(n, kTopRung);
-  lc_flags_.resize(n, 0);
   original_cells_.resize(n, -1);
   activity_valid_ = false;
-  recompute_boundary(*this);
 }
 
 int Design::original_cell(NodeId id) const {
@@ -142,7 +152,7 @@ double Design::total_area() const {
   const int lc = lib_->level_converter();
   net_.for_each_gate([&](const Node& g) {
     if (g.cell >= 0) area += lib_->cell(g.cell).area;
-    if (lc_flags_[g.id] && lc >= 0) area += lib_->cell(lc).area;
+    if (lc >= 0 && needs_lc(g.id)) area += lib_->cell(lc).area;
   });
   return area;
 }

@@ -1,12 +1,16 @@
 // Design: the central context object for multi-Vdd optimization.  Bundles
-// the mapped network, the library, the per-gate supply-ladder assignment,
-// the timing constraint, and the derived level-converter bookkeeping, and
-// offers timing / power / area evaluation of the *current* state.
+// the mapped network, the library, the per-gate supply-ladder assignment
+// and the timing constraint, and offers timing / power / area evaluation
+// of the *current* state.
 //
-// Level converters are kept virtual (the STA and the power model place
-// one wherever a gate drives a gate on a shallower rung) so algorithms
-// can retarget voltages freely; `materialize_level_converters`
-// (boundary.hpp) instantiates them as real gates for export.
+// The supply state is the rungs and nothing else.  Level converters are
+// kept virtual: every converter question (needs_lc, count_lcs,
+// total_area, the STA, the power model) is answered from the rungs by
+// the timing kernel's one pin rule, so algorithms can retarget voltages
+// freely and nothing derived can go stale.  A gate needs a converter
+// where it drives a gate on a shallower rung, unless that gate is a real
+// converter cell; `materialize_level_converters` (boundary.hpp)
+// instantiates the virtual ones as real gates for export.
 #pragma once
 
 #include <memory>
@@ -40,8 +44,7 @@ class Design {
   const SupplyLadder& supplies() const { return lib_->supplies(); }
 
   SupplyId level(NodeId id) const;
-  /// Sets the rung and refreshes boundary flags incrementally around the
-  /// node (its own LC flag and its fanins').
+  /// Sets the gate's rung; nothing else is stored.
   void set_level(NodeId id, SupplyId level);
   /// Gates below the top rung (the paper's "low" column; for a dual
   /// ladder exactly the vdd_low gates).
@@ -49,14 +52,18 @@ class Design {
   /// Gates at every rung (index = SupplyId).
   std::vector<int> count_per_level() const;
 
-  /// True iff this node currently needs a level converter on its output
-  /// (a cached lc_needed, boundary.hpp).
-  bool needs_lc(NodeId id) const { return lc_flags_[id] != 0; }
+  /// True iff the pin from `driver` into its fanout `sink` runs through
+  /// `driver`'s level converter under the current rungs (the kernel's pin
+  /// rule, timing/kernel.hpp).
+  bool through_converter(NodeId driver, NodeId sink) const;
+  /// True iff some fanout pin of this node runs through its converter.
+  bool needs_lc(NodeId id) const;
+  /// Gates that need a converter: the virtual converters the rung
+  /// assignment implies (real converter cells are gates, not counted).
   int count_lcs() const;
 
   /// Called after structural network edits (node insertion, sizing does
-  /// not require it) to resize the per-node vectors and recompute every
-  /// converter flag.
+  /// not require it) to resize the per-node vectors.
   void sync_with_network();
 
   // ---- sizing ------------------------------------------------------------
@@ -106,15 +113,11 @@ class Design {
   void set_freq_mhz(double f) { freq_mhz_ = f; }
 
  private:
-  friend void recompute_boundary(Design& design);
-  friend void refresh_boundary_around(Design& design, NodeId id);
-
   Network net_;
   const Library* lib_;
   double tspec_ = 0.0;
   double freq_mhz_ = 20.0;
   std::vector<SupplyId> levels_;
-  std::vector<char> lc_flags_;  // cache of lc_needed per node
   std::vector<int> original_cells_;
   double original_area_ = 0.0;
   /// Cache slot for the compiled graph: copies and moves of the Design

@@ -34,44 +34,28 @@ struct LoweringProbe {
 };
 
 /// Per-library constants of the lowering model, hoisted once per Dscale
-/// run instead of re-derived per probe: the rung tables (voltage,
-/// squared voltage, leakage factor) are filled from the same ladder
-/// voltages the per-probe code used to look up, so every term below is
-/// the same double it always was.  `rules` carries the timing kernel's
-/// load rule for the design's compiled graph.
+/// run: the rung tables (squared voltage, leakage factor) and, in
+/// `rules`, the timing kernel's pin, load and converter-delay rules for
+/// the design's compiled graph.
 struct LoweringModel {
-  LoweringModel(const Design& design, const TimingGraph& graph,
-                const std::vector<double>& delay_factor)
+  LoweringModel(const Design& design, const TimingGraph& graph)
       : lib(design.library()),
-        ladder(lib.supplies()),
         rules(design.timing_context(), graph),
-        factor(delay_factor),
-        v_top(ladder.top()),
         freq(design.freq_mhz()),
-        lc(lib.level_converter() >= 0 ? &lib.cell(lib.level_converter())
-                                      : nullptr) {
+        has_lc(lib.level_converter() >= 0) {
     const VoltageModel& vm = lib.voltage_model();
-    const int depth = ladder.depth();
-    voltage.resize(depth);
-    v2.resize(depth);
-    leak.resize(depth);
-    for (int r = 0; r < depth; ++r) {
-      voltage[r] = ladder.voltage(static_cast<SupplyId>(r));
-      v2[r] = voltage[r] * voltage[r];
-      leak[r] = vm.leakage_factor(voltage[r]);
+    const SupplyLadder& ladder = lib.supplies();
+    for (int r = 0; r < ladder.depth(); ++r) {
+      const double v = ladder.voltage(static_cast<SupplyId>(r));
+      v2.push_back(v * v);
+      leak.push_back(vm.leakage_factor(v));
     }
   }
 
   const Library& lib;
-  const SupplyLadder& ladder;
   timing_detail::NodeRules rules;
-  const std::vector<double>& factor;
-  // Converters restore to the top rung (timing and power model them
-  // there), whatever rungs they bridge.
-  double v_top;
   double freq;
-  const Cell* lc;
-  std::vector<double> voltage;
+  bool has_lc;
   std::vector<double> v2;
   std::vector<double> leak;
 };
@@ -92,15 +76,13 @@ LoweringEffect evaluate_lowering(const Design& design, const TimingGraph& graph,
   DVS_EXPECTS(gate.is_gate() && gate.cell >= 0);
   DVS_EXPECTS(from < to);
   const Cell& cell = lib.cell(gate.cell);
-  const double v_top = model.v_top;
-  const double f_from = model.factor[from];
-  const double f_to = model.factor[to];
-  const Cell* lc = model.lc;
+  const double f_from = model.rules.rung_factor(from);
+  const double f_to = model.rules.rung_factor(to);
 
   // ---- fanout split after lowering -------------------------------------
-  // The kernel's load rule at each rung: gate fanouts left on strictly
-  // shallower rungs than the gate's rung sit behind its converter;
-  // same-or-deeper gates and output ports stay direct.  At `from` it
+  // The kernel's load rule with the gate moved to each rung: the pin
+  // rule at that rung puts some fanout pins behind the gate's converter;
+  // the other pins and the output ports stay direct.  At `from` it
   // reconstructs the converter the gate may *already* carry (possible on
   // 3+-rung ladders), so the timing/power terms below are true deltas,
   // not full new-converter charges.
@@ -108,11 +90,10 @@ LoweringEffect evaluate_lowering(const Design& design, const TimingGraph& graph,
   const auto cap = [&](std::size_t e) { return caps[e]; };
   const auto behind = [&](SupplyId rung) {
     return [&, rung](const TimingGraph::FanoutPin& p) {
-      return graph.is_gate(p.sink) &&
-             SupplyLadder::converter_needed(rung, design.level(p.sink));
+      return model.rules.through_converter(id, rung, p.sink);
     };
   };
-  if (lc == nullptr) {
+  if (!model.has_lc) {
     const auto pins = graph.fanout_pins(id);
     if (std::any_of(pins.begin(), pins.end(), behind(to)))
       return {};  // no converter available: infeasible
@@ -147,10 +128,8 @@ LoweringEffect evaluate_lowering(const Design& design, const TimingGraph& graph,
   // deepening move pays only the growth of the restored cone.
   double lc_delay = 0.0;
   if (needs_lc) {
-    const RiseFall d = arc_delay(lib, *lc, 0, v_top, new_lc_load);
-    lc_delay = d.max();
-    if (had_lc)
-      lc_delay -= arc_delay(lib, *lc, 0, v_top, old_lc_load).max();
+    lc_delay = model.rules.lc_delay(new_lc_load).max();
+    if (had_lc) lc_delay -= model.rules.lc_delay(old_lc_load).max();
   }
   LoweringEffect effect;
   effect.delay_increase =
@@ -167,26 +146,18 @@ LoweringEffect evaluate_lowering(const Design& design, const TimingGraph& graph,
       a * f * (sta.load[id] + cell.internal_cap) * vf2 *
           kSwitchPowerToMicrowatt +
       cell.leakage * model.leak[from];
-  if (had_lc) {
-    // The committed state already pays for a converter; count it on the
-    // before side so the move is scored on the converter *growth* only.
-    before += a * f * (old_lc_load + lc->internal_cap) *
-                  (v_top * v_top) * kSwitchPowerToMicrowatt +
-              lc->leakage;
-  }
+  // The committed state already pays for a converter; count it on the
+  // before side so the move is scored on the converter *growth* only.
+  if (had_lc) before += converter_power(lib, a, f, old_lc_load);
   const double after_gate =
       a * f * (new_direct + cell.internal_cap) * vt2 *
           kSwitchPowerToMicrowatt +
       cell.leakage * model.leak[to];
-  double lc_cost = 0.0;
-  if (needs_lc) {
-    // Everything behind the converter (the rerouted pins, its wire, its
-    // internal node) still swings at the top rung, plus the converter
-    // leaks.
-    lc_cost = a * f * (new_lc_load + lc->internal_cap) * (v_top * v_top) *
-                  kSwitchPowerToMicrowatt +
-              lc->leakage;
-  }
+  // Everything behind the converter (the rerouted pins, its wire, its
+  // internal node) still swings at the top rung, plus the converter
+  // leaks: node_power's converter term.
+  const double lc_cost =
+      needs_lc ? converter_power(lib, a, f, new_lc_load) : 0.0;
   // Paper-literal weight: "the power reduction when Vlow is applied" —
   // the gate's present switched capacitance scaled by Vfrom^2 - Vto^2.
   effect.gross_gain_uw = a * f * (sta.load[id] + cell.internal_cap) *
@@ -257,13 +228,13 @@ int trim_boundary(Design& design, IncrementalSta& timer) {
     });
     for (NodeId id : boundary) {
       const SupplyId previous = design.level(id);
-      // The shallowest gate fanout bounds the raise: going exactly there
-      // removes the converter with the smallest speed/energy give-back.
+      // The shallowest fanout behind the converter bounds the raise:
+      // going exactly there removes the converter with the smallest
+      // speed/energy give-back.
       SupplyId raised = previous;
-      for (NodeId fo : net.node(id).fanouts) {
-        const Node& sink = net.node(fo);
-        if (sink.is_gate()) raised = std::min(raised, design.level(fo));
-      }
+      for (NodeId fo : net.node(id).fanouts)
+        if (design.through_converter(id, fo))
+          raised = std::min(raised, design.level(fo));
       if (raised == previous) continue;  // boundary moved under the loop
       move(id, raised);
       const double trial = ledger.totals().power.total();
@@ -290,14 +261,12 @@ DscaleResult run_dscale(Design& design, const DscaleOptions& options) {
   const Library& lib = design.library();
   const SupplyLadder& ladder = lib.supplies();
   const SupplyId deepest = ladder.deepest();
-  const std::vector<double> factor =
-      ladder.delay_factors(lib.voltage_model());
   // The candidate scans read pin caps off the compiled graph; Dscale
   // itself never resizes, so one sync up front keeps the snapshot
   // current for the whole run.
   const TimingGraph& graph = design.timing_graph();
   graph.sync_cells();
-  const LoweringModel model(design, graph, factor);
+  const LoweringModel model(design, graph);
 
   // One incremental timer lives across all rounds: candidate collection
   // reads its current state, and every commit/revert/trim below notifies

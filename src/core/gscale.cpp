@@ -22,13 +22,14 @@ struct AppliedResize {
   double delay_gain;
 };
 
-/// Applies every affordable resize in `cut`, then verifies the constraint
-/// and, if the fanin-loading side effect broke a zero-slack path, undoes
-/// the least useful resizes until it holds again.
+/// Applies every affordable resize in `cut`, starting from the design's
+/// current total `area`, then verifies the constraint and, if the
+/// fanin-loading side effect broke a zero-slack path, undoes the least
+/// useful resizes until it holds again.
 void apply_cut_resizes(Design& design, const StaResult& sta,
-                       const std::vector<NodeId>& cut, double area_budget) {
+                       const std::vector<NodeId>& cut, double area,
+                       double area_budget) {
   std::vector<AppliedResize> applied;
-  double area = design.total_area();
   for (NodeId id : cut) {
     const ResizeOption option = evaluate_upsize(design, sta, id);
     if (!option.available) continue;
@@ -87,7 +88,8 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
   int counter = 0;
   while (options.enable_sizing) {
     if (tcb.empty()) break;  // the whole circuit is already low
-    if (design.total_area() >= area_budget) break;
+    const double area = design.total_area();
+    if (area >= area_budget) break;
 
     const StaResult sta = design.run_timing();
     const CriticalPathNetwork cpn = extract_cpn(
@@ -123,7 +125,7 @@ GscaleResult run_gscale(Design& design, const GscaleOptions& options) {
     std::vector<NodeId> cut_nodes;
     for (int i : cut.selected) cut_nodes.push_back(cpn.nodes[i]);
 
-    apply_cut_resizes(design, sta, cut_nodes, area_budget);
+    apply_cut_resizes(design, sta, cut_nodes, area, area_budget);
 
     CvsResult push = run_cvs_with_tcb(design, options.cvs);
     result.cvs_lowered += push.num_lowered;

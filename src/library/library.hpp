@@ -75,6 +75,10 @@ class Library {
 
   /// Designated level-converter cell (see compass.cpp), or -1.
   int level_converter() const { return lc_cell_; }
+  /// True iff `cell_id` is that cell (an unmapped -1 never is).
+  bool is_level_converter(int cell_id) const {
+    return cell_id >= 0 && cell_id == lc_cell_;
+  }
   void set_level_converter(int cell_id);
 
   /// 64-bit content hash over everything that can change an optimization

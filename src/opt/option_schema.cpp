@@ -153,10 +153,4 @@ std::uint64_t OptionSchema::fingerprint(const void* opts) const {
   return fnv1a64(Json(canonical(opts)).dump());
 }
 
-std::vector<std::string> OptionSchema::field_names() const {
-  std::vector<std::string> names;
-  for (const Field& field : fields_) names.push_back(field.name);
-  return names;
-}
-
 }  // namespace dvs

@@ -1,7 +1,5 @@
 #include "opt/registry.hpp"
 
-#include <algorithm>
-
 #include "opt/passes.hpp"
 
 namespace dvs {
@@ -30,14 +28,6 @@ std::unique_ptr<Pass> PassRegistry::create(const std::string& name) const {
   }
   if (!factory) throw OptionError("unknown pass '" + name + "'");
   return factory();
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  for (const auto& [name, _] : factories_) out.push_back(name);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 PassRegistry& pass_registry() {

@@ -30,9 +30,6 @@ class PassRegistry {
   /// OptionError("unknown pass '<name>'") when unregistered.
   std::unique_ptr<Pass> create(const std::string& name) const;
 
-  /// Registered names, sorted (docs, error messages, introspection).
-  std::vector<std::string> names() const;
-
  private:
   mutable std::mutex mutex_;
   std::vector<std::pair<std::string, Factory>> factories_;

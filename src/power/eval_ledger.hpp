@@ -13,7 +13,8 @@
 // computations bit for bit (DESIGN.md, "The evaluation ledger").  The
 // gate counts are integers, kept as stored per-node flags plus counters;
 // a gate carries a converter wherever its load split routes a pin
-// through one, which is where Design flags one.
+// through one, which is where Design::needs_lc, asking the same pin
+// rule, says it needs one.
 #pragma once
 
 #include <cstddef>

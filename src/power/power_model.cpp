@@ -28,18 +28,22 @@ NodePower node_power(const PowerContext& ctx, const Node& node,
                  kSwitchPowerToMicrowatt;
     t.leakage = cell.leakage * lib.voltage_model().leakage_factor(vdd);
   }
-  if (lc_pins > 0) {
-    DVS_ASSERT(lib.level_converter() >= 0);
-    const Cell& lc_cell = lib.cell(lib.level_converter());
-    // The converter's output stage and internal node run at Vdd_high;
-    // it switches as often as its driver does.
-    const double vdd_high = lib.vdd_high();
-    const double vh2 = vdd_high * vdd_high;
-    t.converter = a * ctx.freq_mhz * (lc_load + lc_cell.internal_cap) *
-                      vh2 * kSwitchPowerToMicrowatt +
-                  lc_cell.leakage;
-  }
+  if (lc_pins > 0)
+    t.converter = converter_power(lib, a, ctx.freq_mhz, lc_load);
   return t;
+}
+
+double converter_power(const Library& lib, double a, double freq_mhz,
+                       double lc_load) {
+  DVS_ASSERT(lib.level_converter() >= 0);
+  const Cell& lc_cell = lib.cell(lib.level_converter());
+  // The converter's output stage and internal node run at Vdd_high; it
+  // switches as often as its driver does.
+  const double vdd_high = lib.vdd_high();
+  const double vh2 = vdd_high * vdd_high;
+  return a * freq_mhz * (lc_load + lc_cell.internal_cap) * vh2 *
+             kSwitchPowerToMicrowatt +
+         lc_cell.leakage;
 }
 
 PowerBreakdown compute_power(const PowerContext& ctx) {

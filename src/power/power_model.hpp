@@ -73,6 +73,13 @@ struct PowerBreakdown {
 NodePower node_power(const PowerContext& ctx, const Node& node,
                      double direct_load, double lc_load, int lc_pins);
 
+/// node_power's converter term, which Dscale's lowering model prices
+/// what-if converters with: a converter switching with activity `a` at
+/// `freq_mhz` into `lc_load`, its output stage and internal node at
+/// Vdd_high, plus its leakage.  `lib` must have a converter cell.
+double converter_power(const Library& lib, double a, double freq_mhz,
+                       double lc_load);
+
 PowerBreakdown compute_power(const PowerContext& ctx);
 
 /// Uniform single-supply convenience (all nodes on the top rung, no LCs).

@@ -71,7 +71,4 @@ class FaultInjector {
   std::shared_ptr<State> state_;
 };
 
-/// Human-readable action name for logs and error messages.
-const char* fault_action_name(FaultInjector::Action action);
-
 }  // namespace dvs

@@ -51,7 +51,6 @@ class Json {
   std::string dump() const;
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }

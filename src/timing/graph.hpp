@@ -70,6 +70,8 @@ class TimingGraph {
 
   // ---- flat structure ---------------------------------------------------
   bool is_gate(NodeId id) const { return gate_flag_[id] != 0; }
+  /// Mapped cell as of the last sync (-1 = unmapped or not a gate).
+  int cell(NodeId id) const { return cell_[id]; }
   /// Fanin node per input pin, mirroring Node::fanins verbatim.
   std::span<const NodeId> fanins(NodeId id) const {
     return {fanin_.data() + fanin_offset_[id],

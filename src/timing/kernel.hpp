@@ -6,9 +6,10 @@
 // per-node state.  A node's supply is its ladder rung, read from the
 // context's `node_level`; its delay factor is the rung's entry of
 // SupplyLadder::delay_factors, and a fanout pin runs through its driver's
-// level converter by the ladder's one rule (SupplyLadder::
-// converter_needed).  Each rule reads nothing but its operands, so two
-// analyses that visit a node with the same operands get the same doubles.
+// level converter by the one pin rule below (pin_through_converter),
+// which every converter question in the library asks.  Each rule reads
+// nothing but its operands, so two analyses that visit a node with the
+// same operands get the same doubles.
 // Internal header (not part of the public API surface).
 #pragma once
 
@@ -114,6 +115,26 @@ inline double slack(const RiseFall& arrival, const RiseFall& required) {
 const TimingGraph& current_graph(const TimingContext& ctx,
                                  std::unique_ptr<const TimingGraph>& own);
 
+// ---- the converter rule --------------------------------------------------
+
+/// The pin rule, the library's one answer to "does this pin need a level
+/// converter?" (the load split below, Design's converter queries, the
+/// exporter, CVS's cluster check, Dscale's trim and what-if routing):
+/// the pin runs through its driver's converter exactly when a gate at
+/// rung `driver` feeds a sink on a strictly shallower rung `sink`
+/// (SupplyLadder::converter_needed) that is not itself a level-converter
+/// cell.  A real converter restores the level, so the pin into it runs
+/// direct and the boundary ends there.  The two structural questions are
+/// callables, asked only when the rungs call for a converter: the hot
+/// loops ask the rule for every pin, and few pins step up a rung.
+template <class DriverIsGate, class SinkIsConverter>
+bool pin_through_converter(SupplyId driver, SupplyId sink,
+                           DriverIsGate driver_is_gate,
+                           SinkIsConverter sink_is_converter) {
+  return SupplyLadder::converter_needed(driver, sink) && driver_is_gate() &&
+         !sink_is_converter();
+}
+
 // ---- the per-node rules --------------------------------------------------
 
 /// One node's load, split between its own output stage and its level
@@ -133,14 +154,24 @@ class NodeRules {
   NodeRules(const TimingContext& ctx, const TimingGraph& g);
 
   const TimingGraph& graph() const { return *g_; }
+  /// Delay factor of `rung` (its SupplyLadder::delay_factors entry).
+  double rung_factor(SupplyId rung) const { return factor_[rung]; }
   /// Delay factor of `id`'s rung.
   double factor(NodeId id) const { return factor_[level_[id]]; }
-  /// The converter rule: the pin runs through the driver's converter
-  /// exactly when a gate drives a gate on a strictly shallower rung (the
-  /// rule Design's converter flags follow; only gates have fanins).
+  /// The pin rule on the committed rungs and the graph's cells.
   bool through_converter(NodeId driver, NodeId sink) const {
-    return SupplyLadder::converter_needed(level_[driver], level_[sink]) &&
-           g_->is_gate(driver);
+    return through_converter(driver, level_[driver], sink);
+  }
+  /// The pin rule with `driver` at `rung` (a what-if lowering).
+  bool through_converter(NodeId driver, SupplyId rung, NodeId sink) const {
+    return pin_through_converter(
+        rung, level_[sink], [&] { return g_->is_gate(driver); },
+        [&] { return lib_->is_level_converter(g_->cell(sink)); });
+  }
+  /// The converter's delay into `lc_load`: converters run at the top
+  /// rung, whatever rungs they bridge.
+  RiseFall lc_delay(double lc_load) const {
+    return ArcView{*lc_arc_, factor_[kTopRung], lc_load}.delay();
   }
 
   /// The load rule.  `cap(e)` is the pin cap of `u`'s e-th fanout entry
@@ -242,11 +273,6 @@ class NodeRules {
   }
 
  private:
-  /// Converters run at the top rung, whatever rungs they bridge.
-  RiseFall lc_delay(double lc_load) const {
-    return ArcView{*lc_arc_, factor_[kTopRung], lc_load}.delay();
-  }
-
   const TimingGraph* g_;
   const Library* lib_;
   std::span<const SupplyId> level_;

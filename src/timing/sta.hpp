@@ -1,7 +1,8 @@
 // Static timing analysis with rise/fall arrival and required times over
 // pin-to-pin, load-dependent timing arcs, at per-node supply-ladder rungs,
 // including a virtual level converter wherever a gate drives a gate on a
-// strictly shallower rung (SupplyLadder::converter_needed).
+// strictly shallower rung that is not itself a converter cell (the pin
+// rule in timing/kernel.hpp).
 //
 // The STA is deliberately decoupled from the dual-Vdd bookkeeping in
 // src/core: callers describe the operating state with a TimingContext of
